@@ -10,10 +10,10 @@
 /// checker over a budget sweep: the same generated reads-latest trace is
 /// streamed at several window budgets (plus unbounded as the baseline),
 /// recording throughput, the peak live window, eviction counts and peak
-/// RSS. Tracking this across PRs keeps the eviction fixpoint honest —
-/// a GC regression shows up as a peak window detaching from its budget
-/// or a throughput collapse, long before a production trace would hit
-/// either.
+/// RSS (restarted per cell, so each row reports its own peak). Tracking
+/// this across PRs keeps the eviction pass honest — a GC regression shows
+/// up as a peak window detaching from its budget or a throughput
+/// collapse, long before a production trace would hit either.
 ///
 /// Dumps the series as BENCH_streaming.json (TXDPOR_BENCH_JSON
 /// overrides) next to the human-readable table. Honors
@@ -59,6 +59,7 @@ struct Cell {
 Cell runBudget(unsigned WindowBudget, int64_t BudgetMs) {
   Cell C;
   C.WindowBudget = WindowBudget;
+  restartPeakRss();
   Deadline Budget = Deadline::afterMillis(BudgetMs);
   Stopwatch Timer;
   for (uint64_t Round = 0; !Budget.expired(); ++Round) {

@@ -27,18 +27,28 @@ inline void setBit(uint64_t *Bits, unsigned I) {
 
 } // namespace
 
-bool ConstraintState::insertClosureEdge(Relation &R, unsigned A, unsigned B) {
-  if (A == B || R.get(B, A))
+bool ConstraintState::insertClosureEdge(Relation &Preds, unsigned A,
+                                        unsigned B) {
+  if (A == B || Preds.get(A, B))
     return false; // The edge closes a cycle through an existing path.
-  if (R.get(A, B))
+  if (Preds.get(B, A))
     return true; // Already implied; the closure cannot change.
-  R.orRow(A, B);
-  R.set(A, B);
-  // Everything that reached A now also reaches B and B's successors.
+  Preds.orRow(B, A);
+  Preds.set(B, A);
+  // Every descendant of B gains A and A's ancestors as ancestors; one
+  // that already had A as an ancestor holds A's ancestors by transitivity.
   for (unsigned I = 0; I != NumTxns; ++I)
-    if (I != A && R.get(I, A))
-      R.orRow(I, A);
+    if (I != B && Preds.get(I, B) && !Preds.get(I, A))
+      Preds.orRow(I, B);
   return true;
+}
+
+void ConstraintState::insertSinkEdge(Relation &Preds, unsigned A) {
+  assert(HasOpen && A != OpenIdx && "sink edges end in the open transaction");
+  // Nothing leaves the open sink, so it is the only transaction whose
+  // ancestors grow: by A and A's ancestors.
+  Preds.orRow(OpenIdx, A);
+  Preds.set(OpenIdx, A);
 }
 
 void ConstraintState::beginBlock(unsigned Idx, TxnUid Uid) {
@@ -53,31 +63,22 @@ void ConstraintState::beginBlock(unsigned Idx, TxnUid Uid) {
   HasOpen = true;
   OpenIdx = Idx;
   OpenLevel = Levels.levelFor(Uid.Session);
-  std::fill(OpenPreds.begin(), OpenPreds.end(), 0);
   OpenReads.clear();
 
   // Session-order edges end in the fresh sink, so they can never close a
   // cycle; so is transitive (§2.2.1), hence *every* earlier transaction
-  // of the session is a direct predecessor, not just the last one.
-  uint64_t *Direct = OpenPreds.data();
-  uint64_t *Causal = OpenPreds.data() + Words;
-  auto AddSo = [&](unsigned P) {
-    SoWr.set(P, Idx);
-    bool OkC = insertClosureEdge(CausalClosure, P, Idx);
-    bool OkG = TrivialOnly || insertClosureEdge(GClosure, P, Idx);
-    assert(OkC && OkG && "an edge into a fresh sink cannot cycle");
-    (void)OkC;
-    (void)OkG;
-    setBit(Direct, P);
-  };
-  AddSo(0); // The initial transaction precedes everyone (Def. 2.1).
-  for (unsigned P = 1; P != Idx; ++P)
-    if (SessionOfTxn[P] == Uid.Session)
-      AddSo(P);
-  // Causal predecessors: whatever now reaches the new block.
-  for (unsigned I = 0; I != Idx; ++I)
-    if (CausalClosure.get(I, Idx))
-      setBit(Causal, I);
+  // of the session is a direct predecessor, not just the last one. The
+  // closures need only the edge from the latest of them: the initial
+  // transaction (Def. 2.1) and every earlier one already reach it.
+  unsigned Latest = 0;
+  for (unsigned P = 0; P != Idx; ++P)
+    if (P == 0 || SessionOfTxn[P] == Uid.Session) {
+      SoWrPreds.set(Idx, P);
+      Latest = P;
+    }
+  insertSinkEdge(CausalPreds, Latest);
+  if (!TrivialOnly)
+    insertSinkEdge(GPreds, Latest);
 }
 
 void ConstraintState::applyBegin(TxnUid Uid) { beginBlock(NumTxns, Uid); }
@@ -89,8 +90,12 @@ void ConstraintState::collectReadEdges(unsigned W, VarId Var,
   if (L == IsolationLevel::Trivial)
     return;
 
-  const uint64_t *Direct = OpenPreds.data();
-  const uint64_t *Causal = OpenPreds.data() + Words;
+  // An edge the closure already implies can neither close a cycle nor
+  // change the closure, so only non-implied edges are collected.
+  auto AddForced = [&](unsigned From, unsigned To) {
+    if (!GPreds.get(To, From))
+      Out.push_back({From, To});
+  };
 
   if (L == IsolationLevel::ReadCommitted) {
     // Event-granular premise (wr ∘ po): writers of the open transaction's
@@ -98,21 +103,24 @@ void ConstraintState::collectReadEdges(unsigned W, VarId Var,
     // no retroactive part.
     for (const ReadRec &R : OpenReads)
       if (R.Writer != W && writesVar(R.Writer, Var))
-        Out.push_back({R.Writer, W});
+        AddForced(R.Writer, W);
     return;
   }
 
   assert((L == IsolationLevel::ReadAtomic ||
           L == IsolationLevel::CausalConsistency) &&
          "saturable levels only");
-  const uint64_t *Premise = L == IsolationLevel::ReadAtomic ? Direct : Causal;
+  // The premise before this read: the open transaction's direct so ∪ wr
+  // predecessors (RA) resp. its causal past (CC), both one row.
+  const uint64_t *Premise = L == IsolationLevel::ReadAtomic
+                                ? SoWrPreds.rowWords(OpenIdx)
+                                : CausalPreds.rowWords(OpenIdx);
 
   // (a) The new read's own axiom instances: premise ∩ writers(Var) → W.
   // The wr edge W → open also puts {W} (RA) resp. {W} ∪ causalPreds(W)
   // (CC) into the premise, but W itself is excluded (t2 ≠ t1) and a
   // causal predecessor T2 of W already reaches W in every closure, so its
-  // forced edge (T2, W) can neither cycle nor change the closure — those
-  // instances are skipped.
+  // forced edge (T2, W) is implied — those instances are skipped.
   const uint64_t *VarWriters = &WriterBits[static_cast<size_t>(Var) * Words];
   for (unsigned I = 0; I != Words; ++I) {
     uint64_t Bits = Premise[I] & VarWriters[I];
@@ -120,28 +128,31 @@ void ConstraintState::collectReadEdges(unsigned W, VarId Var,
       unsigned T2 = I * 64 + static_cast<unsigned>(__builtin_ctzll(Bits));
       Bits &= Bits - 1;
       if (T2 != W)
-        Out.push_back({T2, W});
+        AddForced(T2, W);
     }
   }
 
   // (b) Retroactive growth: the wr edge W → open enlarges φ(·, open) for
   // every earlier read of the open transaction (§2.2.2 quantifies over
-  // the whole history's so ∪ wr, not a prefix of it).
+  // the whole history's so ∪ wr, not a prefix of it) by W (RA) resp. by
+  // W and W's causal past (CC), minus what the premise already held.
   auto GrownBy = [&](unsigned T2) {
     for (const ReadRec &R : OpenReads)
       if (T2 != R.Writer && writesVar(T2, R.Var))
-        Out.push_back({T2, R.Writer});
+        AddForced(T2, R.Writer);
   };
-  if (L == IsolationLevel::ReadAtomic) {
-    if (!testBit(Direct, W))
-      GrownBy(W);
+  if (testBit(Premise, W) || OpenReads.empty())
     return;
-  }
-  if (!testBit(Causal, W)) {
-    GrownBy(W);
-    for (unsigned T2 = 0; T2 != NumTxns; ++T2)
-      if (CausalClosure.get(T2, W) && !testBit(Causal, T2))
-        GrownBy(T2);
+  GrownBy(W);
+  if (L == IsolationLevel::ReadAtomic)
+    return;
+  const uint64_t *WPast = CausalPreds.rowWords(W);
+  for (unsigned I = 0; I != Words; ++I) {
+    uint64_t Bits = WPast[I] & ~Premise[I];
+    while (Bits) {
+      GrownBy(I * 64 + static_cast<unsigned>(__builtin_ctzll(Bits)));
+      Bits &= Bits - 1;
+    }
   }
 }
 
@@ -173,14 +184,14 @@ bool ConstraintState::createsCycle(const std::vector<Edge> &Edges) const {
   // edges it follows (possibly empty) paths of the old acyclic graph,
   // which the maintained closure answers in O(1).
   for (const Edge &E : Edges)
-    if (GClosure.get(E.To, E.From))
+    if (GPreds.get(E.From, E.To))
       return true;
   const size_t K = Edges.size();
   if (K < 2)
     return false;
   auto Arc = [&](size_t I, size_t J) {
     return Edges[I].To == Edges[J].From ||
-           GClosure.get(Edges[I].To, Edges[J].From);
+           GPreds.get(Edges[J].From, Edges[I].To);
   };
   if (K <= 64) {
     uint64_t Gray = 0, Done = 0;
@@ -237,42 +248,23 @@ void ConstraintState::applyExternalRead(unsigned W, VarId Var) {
   assert(HasOpen && "no open transaction");
   assert(W != OpenIdx && W < NumTxns && writesVar(W, Var) &&
          "wr writer must be a committed writer of the variable");
-  if (TrivialOnly) {
-    // Premises and the forced closure are never consulted; only the
-    // causal closure (readLatest truncations) needs the wr edge.
-    SoWr.set(W, OpenIdx);
-    bool Ok = insertClosureEdge(CausalClosure, W, OpenIdx);
-    assert(Ok && "a wr edge into the open sink cannot cycle");
-    (void)Ok;
-    return;
-  }
-  collectReadEdges(W, Var, Scratch.Edges);
+  if (!TrivialOnly)
+    collectReadEdges(W, Var, Scratch.Edges);
 
-  SoWr.set(W, OpenIdx);
-  bool OkC = insertClosureEdge(CausalClosure, W, OpenIdx);
-  bool OkG = insertClosureEdge(GClosure, W, OpenIdx);
-  assert(OkC && OkG && "a wr edge into the open sink cannot cycle");
-  (void)OkC;
-  (void)OkG;
+  SoWrPreds.set(OpenIdx, W);
+  insertSinkEdge(CausalPreds, W);
+  if (TrivialOnly)
+    return; // Premises and the forced closure are never consulted.
+  insertSinkEdge(GPreds, W);
 
   for (const Edge &E : Scratch.Edges) {
-    if (!insertClosureEdge(GClosure, E.From, E.To)) {
-      // Only reachable through the bulk constructor: the engine probes
-      // readAdmits first and never applies an inadmissible writer.
+    if (!insertClosureEdge(GPreds, E.From, E.To)) {
+      // Reached by the bulk constructor and the streaming checker, which
+      // apply reads unprobed and take the cycle as the verdict; the engine
+      // probes readAdmits first and never applies an inadmissible writer.
       Inconsistent = true;
       return;
     }
-  }
-
-  uint64_t *Direct = OpenPreds.data();
-  uint64_t *Causal = OpenPreds.data() + Words;
-  setBit(Direct, W);
-  if (!testBit(Causal, W)) {
-    setBit(Causal, W);
-    // The causal past of the committed writer is frozen; fold it in once.
-    for (unsigned I = 0; I != NumTxns; ++I)
-      if (CausalClosure.get(I, W))
-        setBit(Causal, I);
   }
   OpenReads.push_back({Var, W});
 }
@@ -311,28 +303,15 @@ ConstraintState::ConstraintState(const ConstraintState &Old,
   NumTxns = K;
   NumVars = Old.NumVars;
   TrivialOnly = Old.TrivialOnly;
-  SoWr = Relation(MaxN);
-  CausalClosure = Relation(MaxN);
+  SoWrPreds = Old.SoWrPreds.restrictedTo(Keep, MaxN);
+  CausalPreds = Old.CausalPreds.restrictedTo(Keep, MaxN);
   if (!TrivialOnly)
-    GClosure = Relation(MaxN);
+    GPreds = Old.GPreds.restrictedTo(Keep, MaxN);
   WriterBits.assign(static_cast<size_t>(NumVars) * Words, 0);
   SessionOfTxn.assign(MaxN, 0);
-  OpenPreds.assign(2 * static_cast<size_t>(Words), 0);
   for (unsigned I = 0; I != K; ++I) {
     assert(Keep[I] < Old.NumTxns && "retained index out of range");
-    assert((I == 0 || Keep[I - 1] < Keep[I]) &&
-           "retained indices must be strictly ascending");
     SessionOfTxn[I] = Old.SessionOfTxn[Keep[I]];
-    for (unsigned J = 0; J != K; ++J) {
-      if (J == I)
-        continue;
-      if (Old.SoWr.get(Keep[I], Keep[J]))
-        SoWr.set(I, J);
-      if (Old.CausalClosure.get(Keep[I], Keep[J]))
-        CausalClosure.set(I, J);
-      if (!TrivialOnly && Old.GClosure.get(Keep[I], Keep[J]))
-        GClosure.set(I, J);
-    }
     for (VarId V = 0; V != NumVars; ++V)
       if (Old.writesVar(Keep[I], V))
         setBit(&WriterBits[static_cast<size_t>(V) * Words], I);
@@ -348,10 +327,10 @@ void ConstraintState::initFromHistory(const History &H, unsigned MaxTxns) {
   MaxN = std::max(MaxTxns, N);
   Words = (MaxN + 63) / 64;
   TrivialOnly = Levels.strongest() == IsolationLevel::Trivial;
-  SoWr = Relation(MaxN);
-  CausalClosure = Relation(MaxN);
+  SoWrPreds = Relation(MaxN);
+  CausalPreds = Relation(MaxN);
   if (!TrivialOnly)
-    GClosure = Relation(MaxN);
+    GPreds = Relation(MaxN);
   // The initial transaction writes value 0 to every variable, so its log
   // spans the variable universe.
   std::vector<VarId> InitVars = H.txn(0).writtenVars();
@@ -359,7 +338,6 @@ void ConstraintState::initFromHistory(const History &H, unsigned MaxTxns) {
   WriterBits.assign(static_cast<size_t>(NumVars) * Words, 0);
   SessionOfTxn.assign(MaxN, 0);
   SessionOfTxn[0] = TxnUid::InitSession;
-  OpenPreds.assign(2 * static_cast<size_t>(Words), 0);
   NumTxns = 1;
   for (VarId V : InitVars)
     setBit(&WriterBits[static_cast<size_t>(V) * Words], 0);
@@ -385,10 +363,10 @@ void ConstraintState::replayBlocks(const History &H, unsigned From,
   // truncated reader mid-order); its probe context is set aside while the
   // later blocks replay — sound because nothing ever leaves a pending
   // sink, so later blocks cannot mention it — and restored at the end.
+  // Its premises are its closure rows, which later blocks leave alone.
   bool Stashed = false;
   unsigned StashIdx = 0;
   IsolationLevel StashLevel = IsolationLevel::Trivial;
-  std::vector<uint64_t> StashPreds;
   std::vector<ReadRec> StashReads;
 
   for (unsigned Idx = From; Idx != To && !Inconsistent; ++Idx) {
@@ -398,7 +376,6 @@ void ConstraintState::replayBlocks(const History &H, unsigned From,
       Stashed = true;
       StashIdx = OpenIdx;
       StashLevel = OpenLevel;
-      StashPreds = OpenPreds;
       StashReads = std::move(OpenReads);
       OpenReads.clear();
       HasOpen = false;
@@ -435,7 +412,6 @@ void ConstraintState::replayBlocks(const History &H, unsigned From,
     HasOpen = true;
     OpenIdx = StashIdx;
     OpenLevel = StashLevel;
-    OpenPreds = std::move(StashPreds);
     OpenReads = std::move(StashReads);
   }
 }
@@ -476,10 +452,10 @@ bool ConstraintState::equivalentTo(const ConstraintState &O) const {
     if (SessionOfTxn[I] != O.SessionOfTxn[I])
       return false;
     for (unsigned J = 0; J != NumTxns; ++J) {
-      if (SoWr.get(I, J) != O.SoWr.get(I, J) ||
-          CausalClosure.get(I, J) != O.CausalClosure.get(I, J))
+      if (SoWrPreds.get(I, J) != O.SoWrPreds.get(I, J) ||
+          CausalPreds.get(I, J) != O.CausalPreds.get(I, J))
         return false;
-      if (!TrivialOnly && GClosure.get(I, J) != O.GClosure.get(I, J))
+      if (!TrivialOnly && GPreds.get(I, J) != O.GPreds.get(I, J))
         return false;
     }
     for (VarId V = 0; V != NumVars; ++V)
@@ -496,13 +472,6 @@ bool ConstraintState::equivalentTo(const ConstraintState &O) const {
     if (OpenReads[I].Var != O.OpenReads[I].Var ||
         OpenReads[I].Writer != O.OpenReads[I].Writer)
       return false;
-  for (unsigned I = 0; I != NumTxns; ++I) {
-    if (testBit(OpenPreds.data(), I) != testBit(O.OpenPreds.data(), I))
-      return false;
-    if (testBit(OpenPreds.data() + Words, I) !=
-        testBit(O.OpenPreds.data() + O.Words, I))
-      return false;
-  }
   return true;
 }
 

@@ -22,8 +22,11 @@
 ///
 ///  * the pending transaction is a so ∪ wr *sink*, so no edge ever leaves
 ///    it and no new edge can touch the graph anywhere else — appending a
-///    begin, write, commit or abort can never close a cycle and costs at
-///    most a few O(N/64) row unions;
+///    begin, write, commit or abort can never close a cycle, and an edge
+///    into the sink grows only the sink's ancestor set — one O(N/64) row
+///    union, since the closures are stored transposed; a begin adds only
+///    the edge from the session's latest transaction, since every earlier
+///    one already reaches it;
 ///  * the causal past of a committed transaction is frozen (every later
 ///    edge points at the then-pending sink), so the axiom premises of
 ///    completed reads never grow again, and the premise of the pending
@@ -32,6 +35,9 @@
 ///    reduces to: "would the read's forced edges (all targeting committed
 ///    transactions) close a cycle through the maintained closure?" — a
 ///    handful of O(1) reachability bit-tests instead of a graph rebuild.
+///    Forced edges the closure already implies can neither close a cycle
+///    nor change the closure, so they are dropped at collection: only
+///    non-implied edges reach the cycle search and the closure update.
 ///
 /// One state instance decides *both* the uniform and the per-session mixed
 /// commit test — it is parameterized by a LevelAssignment, and a uniform
@@ -141,10 +147,13 @@ public:
   /// The per-session assignment every commit test is evaluated under.
   const LevelAssignment &levels() const { return Levels; }
 
-  /// The maintained causal closure (so ∪ wr)+ over block indices — the
-  /// relation History::causalRelation() computes from scratch. Rows are
-  /// sized for capacity; only indices below numTxns() are meaningful.
-  const Relation &causal() const { return CausalClosure; }
+  /// True if \p A causally precedes \p B: (A, B) is in the maintained
+  /// closure (so ∪ wr)+ over block indices, the relation
+  /// History::causalRelation() computes from scratch.
+  bool causallyPrecedes(unsigned A, unsigned B) const {
+    assert(A < NumTxns && B < NumTxns && "transaction index out of range");
+    return CausalPreds.get(B, A);
+  }
 
   /// True if committed transaction \p Txn visibly writes \p Var — the
   /// maintained index behind History::committedWriters' linear scan.
@@ -175,7 +184,7 @@ public:
   /// from every retained one before evicting it.
   bool constrains(unsigned A, unsigned B) const {
     assert(A < NumTxns && B < NumTxns && "transaction index out of range");
-    return TrivialOnly ? CausalClosure.get(A, B) : GClosure.get(A, B);
+    return TrivialOnly ? CausalPreds.get(B, A) : GPreds.get(B, A);
   }
 
   /// True while a transaction is open (pending): the target of probes and
@@ -207,9 +216,11 @@ public:
 
   /// Registers the wr choice \p W for the just-appended external read of
   /// \p Var: adds the wr edge, the read's forced edges, and the premise
-  /// growth of the open transaction. The caller must have probed
-  /// readAdmits(W, Var) — a cycle here flips the state to inconsistent
-  /// (which the bulk constructor uses to decide verdicts).
+  /// growth of the open transaction. A cycle here flips the state to
+  /// inconsistent and leaves it unusable for further extension: callers
+  /// that continue from the state (the explorer) probe readAdmits first,
+  /// while the bulk constructor and the streaming checker apply unprobed
+  /// and read the verdict off consistent().
   void applyExternalRead(unsigned W, VarId Var);
 
   /// Registers the commit of the open transaction, making its writes
@@ -236,10 +247,17 @@ private:
     return static_cast<size_t>(Var) * Words + Txn / 64;
   }
 
-  /// Adds edge (A, B) to closure \p R, keeping R transitively closed.
-  /// Returns false (leaving R with the edge absorbed but the graph
-  /// cyclic) if B already reaches A.
-  bool insertClosureEdge(Relation &R, unsigned A, unsigned B);
+  /// Adds edge (A, B) to the closure whose transposed form is \p Preds,
+  /// keeping it transitively closed. Returns false (leaving it unchanged)
+  /// if B already reaches A. An edge the closure already implies costs two
+  /// bit-tests; any other costs one row union per descendant of B that A
+  /// did not yet reach.
+  bool insertClosureEdge(Relation &Preds, unsigned A, unsigned B);
+
+  /// Adds edge (A, open) — a so or wr edge into the open sink — to the
+  /// closure whose transposed form is \p Preds: one row union, since
+  /// nothing leaves the sink and only its ancestor row grows.
+  void insertSinkEdge(Relation &Preds, unsigned A);
 
   /// Collects the new forced edges of appending a read of \p Var with
   /// writer \p W to the open transaction: the read's own axiom instances
@@ -248,8 +266,8 @@ private:
   /// read of t).
   void collectReadEdges(unsigned W, VarId Var, std::vector<Edge> &Out) const;
 
-  /// True if G ∪ \p Edges has a cycle, given GClosure = closure of the
-  /// acyclic G: searches the tiny graph whose nodes are the new edges and
+  /// True if G ∪ \p Edges has a cycle, given GPreds (the transposed closure of
+  /// the acyclic G): searches the tiny graph whose nodes are the new edges and
   /// whose arcs are old-closure reachability between their endpoints.
   bool createsCycle(const std::vector<Edge> &Edges) const;
 
@@ -271,9 +289,13 @@ private:
   /// skipped entirely — explore-ce(true) keeps its old free commit test.
   bool TrivialOnly = false;
 
-  Relation SoWr;          ///< so ∪ wr edges (direct).
-  Relation CausalClosure; ///< (so ∪ wr)+ — the CC premise.
-  Relation GClosure;      ///< (so ∪ wr ∪ forced)+ — the cycle test.
+  // The relations are stored transposed: row B is the set of A with
+  // (A, B) in the relation. Every extension step grows the open sink's
+  // predecessors, which is then one row, and the open transaction's RA
+  // and CC premises are its SoWrPreds and CausalPreds rows.
+  Relation SoWrPreds;   ///< so ∪ wr edges (direct).
+  Relation CausalPreds; ///< (so ∪ wr)+ — the CC premise.
+  Relation GPreds;      ///< (so ∪ wr ∪ forced)+ — the cycle test.
   /// Committed-writer bitset per variable (NumVars x Words), ascending
   /// transaction bits == ascending block order.
   std::vector<uint64_t> WriterBits;
@@ -285,10 +307,6 @@ private:
   bool HasOpen = false;
   unsigned OpenIdx = 0;
   IsolationLevel OpenLevel = IsolationLevel::Trivial;
-  /// Direct so ∪ wr predecessors (words [0, Words)) and causal
-  /// predecessors (words [Words, 2*Words)) of the open transaction — the
-  /// RA and CC premises of its reads.
-  std::vector<uint64_t> OpenPreds;
   /// External reads of the open transaction, in po order — the RC premise
   /// and the retroactive-growth targets.
   std::vector<ReadRec> OpenReads;

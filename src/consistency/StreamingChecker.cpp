@@ -160,29 +160,27 @@ StreamStatus StreamingChecker::append(const TransactionLog &Log,
     unsigned WIdx = WriterIdxScratch[Pos];
     if (E.isRead() && WIdx != NoWriter) {
       ++Stats.ExternalReads;
-      if (!State.readAdmits(WIdx, E.Var)) {
-        // Materialize the violating read and commit the truncated
-        // transaction: the window becomes a standalone witness.
-        Win.appendEvent(Idx, E);
-        Win.setWriter(Idx, static_cast<uint32_t>(Win.txn(Idx).size()) - 1,
-                      Win.txn(WIdx).uid());
-        Win.appendEvent(Idx, Event::makeCommit());
-        AnomalyUid = Uid;
-        Status = StreamStatus::Anomaly;
-        if (Diag)
-          *Diag =
-              "isolation violation: read of x" + std::to_string(E.Var) +
-              " from " + Win.txn(WIdx).uid().str() + " in " + Uid.str() +
-              " closes a commit-order cycle at " +
-              isolationLevelName(Opts.Levels.levelFor(Uid.Session)) +
-              " (assignment " + Opts.Levels.str() + ")";
-        return Status;
-      }
       Win.appendEvent(Idx, E);
       Win.setWriter(Idx, static_cast<uint32_t>(Win.txn(Idx).size()) - 1,
                     Win.txn(WIdx).uid());
+      // No readAdmits probe first: an anomaly is terminal and the state is
+      // never consulted after one, so applying the read and testing the
+      // verdict is one edge collection instead of two.
       State.applyExternalRead(WIdx, E.Var);
-      continue;
+      if (State.consistent())
+        continue;
+      // Commit the truncated transaction at the violating read: the
+      // window becomes a standalone witness.
+      Win.appendEvent(Idx, Event::makeCommit());
+      AnomalyUid = Uid;
+      Status = StreamStatus::Anomaly;
+      if (Diag)
+        *Diag = "isolation violation: read of x" + std::to_string(E.Var) +
+                " from " + Win.txn(WIdx).uid().str() + " in " + Uid.str() +
+                " closes a commit-order cycle at " +
+                isolationLevelName(Opts.Levels.levelFor(Uid.Session)) +
+                " (assignment " + Opts.Levels.str() + ")";
+      return Status;
     }
     Win.appendEvent(Idx, E);
     if (E.Kind == EventKind::Commit)
@@ -228,9 +226,10 @@ void StreamingChecker::runGc() {
   // Candidate set: E1 over the tenured generation (the YoungExempt most
   // recently ingested transactions never leave — a multi-transaction
   // access pattern must not lose its writers to a pass firing between
-  // its transactions), then shrink to the E2 fixpoint: un-evicting a
-  // candidate turns it into a retainer that can pin further candidates
-  // it reaches in the closure.
+  // its transactions), then shrink by E2 in one pass. Un-evicting a
+  // candidate makes it a retainer, but whatever it reaches is reached
+  // directly from its own retaining ancestor — constrains() reads a
+  // transitively closed relation — so no fixpoint iteration is needed.
   std::vector<uint8_t> Evict(N, 0);
   for (unsigned I = 1; I + YoungExempt < N; ++I) {
     const TransactionLog &L = Win.txn(I);
@@ -246,18 +245,14 @@ void StreamingChecker::runGc() {
       }
     Evict[I] = Superseded;
   }
-  for (bool Changed = true; Changed;) {
-    Changed = false;
-    for (unsigned I = 1; I + YoungExempt < N; ++I) {
-      if (!Evict[I])
-        continue;
-      for (unsigned J = 1; J != N; ++J)
-        if (!Evict[J] && State.constrains(J, I)) {
-          Evict[I] = 0;
-          Changed = true;
-          break;
-        }
-    }
+  for (unsigned I = 1; I + YoungExempt < N; ++I) {
+    if (!Evict[I])
+      continue;
+    for (unsigned J = 1; J != N; ++J)
+      if (!Evict[J] && State.constrains(J, I)) {
+        Evict[I] = 0;
+        break;
+      }
   }
 
   unsigned Evicted = 0;
@@ -277,7 +272,7 @@ void StreamingChecker::runGc() {
 
   if (!Evicted) {
     // Nothing evictable at this size: back off before trying again, so a
-    // window pinned by long-lived versions doesn't re-run the fixpoint on
+    // window pinned by long-lived versions doesn't re-run the pass on
     // every append.
     NextGcAt = (N - 1) + std::max(Opts.WindowBudget / 4, 8u);
     return;

@@ -21,8 +21,9 @@
 ///     streaming verdict ∈ { full-history verdict, StaleRead refusal }.
 ///
 /// **Eviction rule.** A completed non-init transaction T may leave the
-/// window only when all three hold, computed as a fixpoint over the
-/// candidate set of one GC pass:
+/// window only when all three hold, decided in one GC pass (E2 over a
+/// transitively closed relation needs no fixpoint: a candidate reached
+/// from an un-evicted candidate is reached from that one's retainer):
 ///
 ///   (E1) every variable T visibly writes has a later committed
 ///        in-window writer (or T aborted) — T can never again be the
@@ -159,7 +160,7 @@ private:
   StreamStatus staleRead(std::string *Diag, const std::string &Message);
   /// Grows the state capacity when the next begin would overflow it.
   void reserveCapacity();
-  /// Runs one GC pass (fixpoint of E1-E3), compacting window + state.
+  /// Runs one GC pass (E1-E3), compacting window + state.
   void runGc();
 
   StreamingOptions Opts;

@@ -202,14 +202,13 @@ bool txdpor::readsLatest(const History &H, unsigned ReaderTxn,
          "truncations of a consistent history stay consistent (Thm. 3.2)");
   assert(State.hasOpenTxn() && State.openTxn() == *NewReader &&
          "the truncated reader must be the unique pending transaction");
-  const Relation &CausalT = State.causal();
 
   // Scan candidates from the <-latest downwards; the first consistent
   // causal-past writer is the maximum of the candidate set.
   for (unsigned U = Trunc.numTxns(); U-- > 0;) {
     if (U == *NewReader || !Trunc.txn(U).writesVar(X))
       continue;
-    if (!CausalT.get(U, *NewReader))
+    if (!State.causallyPrecedes(U, *NewReader))
       continue;
     if (!State.readAdmits(U, X))
       continue;

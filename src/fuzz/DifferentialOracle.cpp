@@ -200,6 +200,10 @@ std::optional<Disagreement>
 diffSwapRebuild(const History &H, const LevelAssignment &Levels) {
   if (!Levels.allPrefixClosedCausallyExtensible())
     return std::nullopt;
+  // The engine only swaps histories it explored, which are consistent;
+  // the prefix cache asserts that precondition.
+  if (!ConstraintState(H, Levels).consistent())
+    return std::nullopt;
   std::vector<Reordering> Rs = computeReorderings(H);
   if (Rs.empty())
     return std::nullopt;

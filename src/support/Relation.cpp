@@ -23,6 +23,26 @@ Relation Relation::composeWith(const Relation &Other) const {
   return Result;
 }
 
+Relation Relation::restrictedTo(const std::vector<unsigned> &Keep,
+                                unsigned NewSize) const {
+  const unsigned K = static_cast<unsigned>(Keep.size());
+  assert(K <= NewSize && "restriction larger than its universe");
+  Relation Result(NewSize);
+  for (unsigned I = 0; I != K; ++I) {
+    assert(Keep[I] < NumElems && (I == 0 || Keep[I - 1] < Keep[I]) &&
+           "kept elements must be in range and strictly ascending");
+    // Successors and Keep both ascend: one merge finds the kept ones.
+    unsigned J = 0;
+    forEachSuccessor(Keep[I], [&](unsigned Succ) {
+      while (J != K && Keep[J] < Succ)
+        ++J;
+      if (J != K && Keep[J] == Succ)
+        Result.set(I, J);
+    });
+  }
+  return Result;
+}
+
 void Relation::closeTransitively() {
   // Floyd–Warshall specialized to bit rows: if (I, K) holds, row(I) absorbs
   // row(K).

@@ -67,6 +67,19 @@ public:
       D[W] |= S[W];
   }
 
+  /// The bit words of row \p I ((size() + 63) / 64 of them, tail bits
+  /// zero) — the successor set for word-parallel reads.
+  const uint64_t *rowWords(unsigned I) const {
+    assert(I < NumElems && "relation index out of range");
+    return row(I);
+  }
+
+  /// Returns the restriction to the elements \p Keep (strictly ascending),
+  /// renumbered so Keep[I] becomes I, over a universe of \p NewSize >=
+  /// Keep.size() elements. Costs one pass over the kept rows' pairs.
+  Relation restrictedTo(const std::vector<unsigned> &Keep,
+                        unsigned NewSize) const;
+
   /// Adds every pair of \p Other into this relation. Universes must match.
   void unionWith(const Relation &Other) {
     assert(Other.NumElems == NumElems && "universe mismatch in unionWith");

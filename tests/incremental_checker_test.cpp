@@ -60,14 +60,26 @@ std::vector<LevelAssignment> sweepAssignments() {
   return Result;
 }
 
-void expectStateMatchesHistory(const ConstraintState &St, const History &H) {
+/// Checks the maintained closures and writer index of \p St against their
+/// scratch counterparts on \p H: the causal closure against
+/// History::causalRelation, constrains() against the closure of the
+/// scratch constraint graph so ∪ wr ∪ forced(\p Levels).
+void expectStateMatchesHistory(const ConstraintState &St, const History &H,
+                               const LevelAssignment &Levels,
+                               unsigned NumVars) {
   ASSERT_EQ(St.numTxns(), H.numTxns());
   const Relation &Causal = H.causalRelation();
+  const Relation Constraints =
+      MixedSaturationChecker(Levels).constraintGraph(H).transitiveClosure();
   for (unsigned A = 0; A != H.numTxns(); ++A)
-    for (unsigned B = 0; B != H.numTxns(); ++B)
-      EXPECT_EQ(St.causal().get(A, B), Causal.get(A, B))
-          << "causal closure diverges at (" << A << ", " << B << ")";
-  for (VarId V = 0; V != 2; ++V) {
+    for (unsigned B = 0; B != H.numTxns(); ++B) {
+      if (St.causallyPrecedes(A, B) != Causal.get(A, B))
+        FAIL() << "causal closure diverges at (" << A << ", " << B << ")";
+      if (St.constrains(A, B) != Constraints.get(A, B))
+        FAIL() << "constraint closure diverges at (" << A << ", " << B
+               << ")";
+    }
+  for (VarId V = 0; V != NumVars; ++V) {
     std::vector<unsigned> FromState;
     St.forEachCommittedWriter(V, [&](unsigned W) { FromState.push_back(W); });
     EXPECT_EQ(FromState, H.committedWriters(V))
@@ -75,14 +87,26 @@ void expectStateMatchesHistory(const ConstraintState &St, const History &H) {
   }
 }
 
+/// Shape of one random construction.
+struct ConstructionSize {
+  unsigned NumVars, NumSessions, NumTxns;
+};
+/// Fits every closure row in one 64-bit word.
+constexpr ConstructionSize SingleWord{2, 3, 6};
+/// Past 64 transactions: every closure row spans several words.
+constexpr ConstructionSize MultiWord{4, 5, 150};
+
 /// Drives one random engine-shaped construction (one pending transaction
 /// at a time, reads assigned through probed candidates — exactly the
 /// explorer's extension discipline) and checks every probe, verdict and
 /// index against the scratch implementations.
-void runRandomEquivalence(uint64_t Seed, const LevelAssignment &Levels) {
-  SCOPED_TRACE("seed " + std::to_string(Seed) + " levels " + Levels.str());
+void runRandomEquivalence(uint64_t Seed, const LevelAssignment &Levels,
+                          ConstructionSize Size) {
+  SCOPED_TRACE("seed " + std::to_string(Seed) + " levels " + Levels.str() +
+               " txns " + std::to_string(Size.NumTxns));
   Rng R(Seed);
-  const unsigned NumVars = 2, NumSessions = 3, NumTxns = 6;
+  const unsigned NumVars = Size.NumVars, NumSessions = Size.NumSessions,
+                 NumTxns = Size.NumTxns;
   History H = History::makeInitial(NumVars);
   ConstraintState St(H, Levels, /*MaxTxns=*/NumTxns + 1);
 
@@ -137,7 +161,7 @@ void runRandomEquivalence(uint64_t Seed, const LevelAssignment &Levels) {
       St.applyCommit(H.txn(Idx));
     }
     EXPECT_FALSE(St.hasOpenTxn());
-    expectStateMatchesHistory(St, H);
+    expectStateMatchesHistory(St, H, Levels, NumVars);
 
     // Swap-replay leg: every reordering of the just-committed block must
     // bulk-rebuild to the scratch verdict of the swapped history.
@@ -239,9 +263,11 @@ TEST(IncrementalEquivalence, PrefixCacheSwapGridMatchesBulk) {
 }
 
 TEST(IncrementalEquivalence, RandomExtensionsMatchScratch) {
-  for (const LevelAssignment &Levels : sweepAssignments())
+  for (const LevelAssignment &Levels : sweepAssignments()) {
     for (uint64_t Seed = 1; Seed <= 25; ++Seed)
-      runRandomEquivalence(Seed, Levels);
+      runRandomEquivalence(Seed, Levels, SingleWord);
+    runRandomEquivalence(/*Seed=*/1, Levels, MultiWord);
+  }
 }
 
 TEST(IncrementalEquivalence, BulkVerdictMatchesScratchOnLitmus) {
@@ -339,5 +365,5 @@ TEST(IncrementalEquivalence, StateCapacityGrowsWithinMaxTxns) {
   EXPECT_TRUE(scratchConsistent(
       H, LevelAssignment::uniform(IsolationLevel::ReadAtomic)));
   // The session-order chain must have accumulated transitively.
-  EXPECT_TRUE(St.causal().get(1, 8));
+  EXPECT_TRUE(St.causallyPrecedes(1, 8));
 }

@@ -256,6 +256,32 @@ TEST(StreamingEquivalenceTest, MatchesFullHistoryOnGeneratedTraces) {
   const IsolationLevel Levels[] = {IsolationLevel::ReadCommitted,
                                    IsolationLevel::ReadAtomic,
                                    IsolationLevel::CausalConsistency};
+  auto CheckAtBudgets = [&](const trace_io::GenConfig &C,
+                            std::initializer_list<unsigned> Windows) {
+    GeneratedTrace G = generate(C);
+    for (IsolationLevel Level : Levels) {
+      bool Expected = isConsistent(G.Full, Level);
+      for (unsigned Window : Windows) {
+        StreamingStats Stats;
+        StreamStatus S = streamTxns(G, Level, Window, &Stats);
+        if (Window == 0) {
+          ASSERT_NE(S, StreamStatus::StaleRead)
+              << "seed " << C.Seed << ": refusal without eviction";
+        }
+        if (S == StreamStatus::StaleRead)
+          continue;
+        ASSERT_NE(S, StreamStatus::Malformed) << "seed " << C.Seed;
+        EXPECT_EQ(S == StreamStatus::Ok, Expected)
+            << "seed " << C.Seed << " level " << isolationLevelName(Level)
+            << " window " << Window;
+        if (Window > 64 && S == StreamStatus::Ok) {
+          EXPECT_GT(Stats.Evicted, 0u)
+              << "seed " << C.Seed << ": the trace must outgrow window "
+              << Window;
+        }
+      }
+    }
+  };
   for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
     trace_io::GenConfig C;
     C.Seed = Seed;
@@ -265,22 +291,20 @@ TEST(StreamingEquivalenceTest, MatchesFullHistoryOnGeneratedTraces) {
     C.AbortPercent = 10;
     if (Seed % 3 == 0)
       C.AnomalyAtTxn = 20 + Seed;
-    GeneratedTrace G = generate(C);
-    for (IsolationLevel Level : Levels) {
-      bool Expected = isConsistent(G.Full, Level);
-      for (unsigned Window : {0u, 4u, 16u}) {
-        StreamStatus S = streamTxns(G, Level, Window);
-        if (Window == 0)
-          ASSERT_NE(S, StreamStatus::StaleRead)
-              << "seed " << Seed << ": refusal without eviction";
-        if (S == StreamStatus::StaleRead)
-          continue;
-        ASSERT_NE(S, StreamStatus::Malformed) << "seed " << Seed;
-        EXPECT_EQ(S == StreamStatus::Ok, Expected)
-            << "seed " << Seed << " level " << isolationLevelName(Level)
-            << " window " << Window;
-      }
-    }
+    CheckAtBudgets(C, {0u, 4u, 16u});
+  }
+  // A budget past 64 transactions on traces long enough to evict at it:
+  // the compacted closure rows span several 64-bit words.
+  for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
+    trace_io::GenConfig C;
+    C.Seed = Seed;
+    C.Sessions = 4;
+    C.Vars = 6;
+    C.Events = 3000;
+    C.AbortPercent = 10;
+    if (Seed == 3)
+      C.AnomalyAtTxn = 300;
+    CheckAtBudgets(C, {0u, 96u});
   }
 }
 
