@@ -200,18 +200,21 @@ std::optional<Disagreement>
 diffSwapRebuild(const History &H, const LevelAssignment &Levels) {
   if (!Levels.allPrefixClosedCausallyExtensible())
     return std::nullopt;
-  // The engine only swaps histories it explored, which are consistent;
-  // the prefix cache asserts that precondition.
-  if (!ConstraintState(H, Levels).consistent())
-    return std::nullopt;
   std::vector<Reordering> Rs = computeReorderings(H);
   if (Rs.empty())
     return std::nullopt;
   PrefixStateCache Cache(H, Levels, 0);
   for (const Reordering &R : Rs) {
+    // The prefix cache only extends consistent prefixes (the engine swaps
+    // explored, hence consistent, histories). Reorderings come by
+    // ascending reader block and an inconsistent prefix stays so when
+    // extended, so the first inconsistent prefix ends the cross-check.
+    const ConstraintState &Prefix = Cache.stateFor(R.ReaderTxn);
+    if (!Prefix.consistent())
+      break;
     History Swapped = applySwap(H, R);
     ConstraintState Bulk(Swapped, Levels);
-    ConstraintState Incr = Cache.stateFor(R.ReaderTxn);
+    ConstraintState Incr = Prefix;
     Incr.replayBlocks(Swapped, R.ReaderTxn, Swapped.numTxns());
     if (Incr.equivalentTo(Bulk))
       continue;

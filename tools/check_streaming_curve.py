@@ -2,8 +2,8 @@
 """Regression gate on the streaming checker's window curve.
 
 Reads BENCH_streaming.json (bench/bench_streaming) and fails when the
-events/s at the large window budget falls below a fixed fraction of the
-events/s at the small budget *of the same run*. Comparing two cells of
+events/s at window budget 1024 falls below 1/8 of the events/s at
+budget 16 *of the same run*. Comparing two cells of
 one run cancels the host's speed, so the gate holds on any CI machine.
 The ratio tracks how much per-transaction closure upkeep grows with the
 window: an append whose cost scales with the window squared shows up as
@@ -18,6 +18,13 @@ import json
 import sys
 
 
+# The gated rule: events/s at window LARGE must reach MIN_FRACTION of
+# events/s at window SMALL.
+SMALL = 16
+LARGE = 1024
+MIN_FRACTION = 1.0 / 8
+
+
 def events_per_sec(doc, budget):
     """events/s of the cell at window budget `budget`, or None."""
     for cell in doc.get("cells", []):
@@ -29,17 +36,6 @@ def events_per_sec(doc, budget):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("bench_json", help="BENCH_streaming.json to gate")
-    parser.add_argument("--small", type=int, default=16,
-                        help="reference window budget (default 16)")
-    parser.add_argument("--large", type=int, default=1024,
-                        help="gated window budget (default 1024)")
-    parser.add_argument(
-        "--min-fraction",
-        type=float,
-        default=1.0 / 8,
-        help="fail when events/s at --large is below this fraction of "
-        "events/s at --small (default 1/8)",
-    )
     args = parser.parse_args()
 
     try:
@@ -50,21 +46,21 @@ def main():
               (args.bench_json, e), file=sys.stderr)
         return 1
 
-    small = events_per_sec(doc, args.small)
-    large = events_per_sec(doc, args.large)
+    small = events_per_sec(doc, SMALL)
+    large = events_per_sec(doc, LARGE)
     if not small or large is None:
         print("check_streaming_curve: %s lacks a window %d or %d cell with "
-              "events_per_sec" % (args.bench_json, args.small, args.large),
+              "events_per_sec" % (args.bench_json, SMALL, LARGE),
               file=sys.stderr)
         return 1
 
     fraction = large / small
-    verdict = "ok" if fraction >= args.min_fraction else "FAIL"
+    verdict = "ok" if fraction >= MIN_FRACTION else "FAIL"
     print("window %d: %.0f events/s, window %d: %.0f events/s, "
           "ratio 1/%.1f (gate 1/%.1f): %s" %
-          (args.small, small, args.large, large,
+          (SMALL, small, LARGE, large,
            1.0 / fraction if fraction > 0 else float("inf"),
-           1.0 / args.min_fraction, verdict))
+           1.0 / MIN_FRACTION, verdict))
     return 0 if verdict == "ok" else 2
 
 
