@@ -106,52 +106,16 @@ void mixExpr(Mix128 &M, const Expr::NodeRef &E) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// historyFingerprint
-//===----------------------------------------------------------------------===//
-
-Fingerprint txdpor::historyFingerprint(const History &H) {
-  // Logs sorted by uid, exactly the rendering order of canonicalKey, so
-  // key equality and fingerprint equality coincide (modulo collisions).
-  std::vector<unsigned> Order(H.numTxns());
-  std::iota(Order.begin(), Order.end(), 0u);
-  std::sort(Order.begin(), Order.end(), [&](unsigned A, unsigned B) {
-    return H.txn(A).uid() < H.txn(B).uid();
-  });
-  Mix128 M(0x8f1bbcdc5a827999ULL, 0xca62c1d6d76aa478ULL);
-  M.add(H.numTxns());
-  for (unsigned I : Order) {
-    const TransactionLog &Log = H.txn(I);
-    M.add(Log.uid().packed());
-    M.add(Log.size());
-    for (uint32_t P = 0, E = static_cast<uint32_t>(Log.size()); P != E; ++P) {
-      const Event &Ev = Log.event(P);
-      M.add(static_cast<uint64_t>(Ev.Kind));
-      M.add(Ev.Var);
-      M.add(static_cast<uint64_t>(Ev.Val));
-      if (std::optional<TxnUid> W = Log.writerOf(P)) {
-        M.add(1);
-        M.add(W->packed());
-      } else {
-        M.add(0);
-      }
-    }
-  }
-  return M.done();
-}
-
-//===----------------------------------------------------------------------===//
 // DedupTable
 //===----------------------------------------------------------------------===//
 
 DedupTable::DedupTable(const Program &Prog, const LevelAssignment &Levels,
-                       DedupMode Mode, uint64_t MaxEntries)
-    : Mode(Mode), NumSessions(Prog.numSessions()),
+                       uint64_t MaxEntries)
+    : NumSessions(Prog.numSessions()),
       MaxPerShard(MaxEntries == 0
                       ? 0
                       : std::max<uint64_t>(
                             1, (MaxEntries + NumShards - 1) / NumShards)) {
-  assert(Mode != DedupMode::Off && "a table for a disabled mode");
-
   // Partition sessions into structural classes: same base level, same
   // transaction count, structurally equal bodies. Class ids ascend with
   // first occurrence, so the layout is a pure function of the program —
@@ -170,12 +134,12 @@ DedupTable::DedupTable(const Program &Prog, const LevelAssignment &Levels,
       Reps.push_back(S);
     ClassOf[S] = Class;
   }
+  NumClasses = static_cast<unsigned>(Reps.size());
 
   // Salt: the program text plus the resolved assignment, so fingerprints
   // from different semantics can never alias (tables are per-run anyway;
   // this is defense in depth for serialized fingerprints in dumps).
   Mix128 M(0x6a09e667f3bcc908ULL, 0xbb67ae8584caa73bULL);
-  M.add(static_cast<uint64_t>(Mode));
   M.add(NumSessions);
   for (uint32_t S = 0; S != NumSessions; ++S) {
     M.add(static_cast<uint64_t>(Levels.levelFor(S)));
@@ -199,11 +163,11 @@ DedupTable::DedupTable(const Program &Prog, const LevelAssignment &Levels,
 
 namespace {
 
-/// The canonical name of \p U under permutation \p Pi (empty = identity).
+/// The canonical name of \p U under permutation \p Pi.
 /// The initial transaction renames to itself, so a renamed uid can never
 /// alias it (InitSession is above every real session id).
 uint64_t renamedUid(const std::vector<uint32_t> &Pi, TxnUid U) {
-  if (U.isInit() || Pi.empty())
+  if (U.isInit())
     return U.packed();
   assert(U.Session < Pi.size() && "item names an unknown session");
   return (static_cast<uint64_t>(Pi[U.Session]) << 32) | U.Index;
@@ -294,7 +258,7 @@ void DedupTable::refoldPiDigest(DedupFp &Fp, const History &H,
     uint64_t A = E.CntA, B = E.CntB;
     for (unsigned K = 0; K != E.NumMentions; ++K) {
       const DedupFp::Mention &Mn = E.Mentions[K];
-      uint32_t Rank = Fp.Pi.empty() ? Mn.Session : Fp.Pi[Mn.Session];
+      uint32_t Rank = Fp.Pi[Mn.Session];
       uint64_t Key = mentionKey(I, Mn.Slot, Rank);
       A += splitmix64(Key ^ Salt0 ^ 0x2545f4914f6cdd1dULL);
       B += splitmix64(Key ^ Salt1 ^ 0x9e6c63d0873084c5ULL);
@@ -310,7 +274,7 @@ void DedupTable::refoldPiDigest(DedupFp &Fp, const History &H,
   TxnUid U = Log.uid();
   uint64_t A = E.CntA, B = E.CntB;
   auto Fold = [&](uint32_t Slot, uint32_t Session) {
-    uint32_t Rank = Fp.Pi.empty() ? Session : Fp.Pi[Session];
+    uint32_t Rank = Fp.Pi[Session];
     uint64_t Key = mentionKey(I, Slot, Rank);
     A += splitmix64(Key ^ Salt0 ^ 0x2545f4914f6cdd1dULL);
     B += splitmix64(Key ^ Salt1 ^ 0x9e6c63d0873084c5ULL);
@@ -386,15 +350,13 @@ Fingerprint DedupTable::itemFingerprint(const History &H,
     Fp.ReadPairs.clear();
     for (unsigned I = 0; I != N; ++I) {
       refreshBlock(Fp, H, I);
-      if (Mode == DedupMode::Symmetry) {
-        const TransactionLog &Log = H.txn(I);
-        if (!Log.uid().isInit())
-          for (uint32_t P = 0, Sz = static_cast<uint32_t>(Log.size());
-               P != Sz; ++P)
-            if (std::optional<TxnUid> W = Log.writerOf(P))
-              if (!W->isInit())
-                Fp.ReadPairs.emplace_back(Log.uid().Session, W->Session);
-      }
+      const TransactionLog &Log = H.txn(I);
+      if (!Log.uid().isInit())
+        for (uint32_t P = 0, Sz = static_cast<uint32_t>(Log.size()); P != Sz;
+             ++P)
+          if (std::optional<TxnUid> W = Log.writerOf(P))
+            if (!W->isInit())
+              Fp.ReadPairs.emplace_back(Log.uid().Session, W->Session);
     }
     Fp.CursorEnts.clear();
     Fp.CursorEnts.reserve(Cursors.size());
@@ -412,81 +374,75 @@ Fingerprint DedupTable::itemFingerprint(const History &H,
       syncCursors(Fp, Cursors);
   }
 
-  // Canonical session permutation. Exact mode keeps the identity; in
-  // Symmetry mode sessions are renamed to their rank under a sort by
-  // (structural class, refined color, original id). The class blocks of
-  // the sort are a pure function of the program, so the composed
-  // difference between any two items' permutations stays *within*
-  // classes — fingerprint equality therefore certifies equality modulo a
-  // structural-class renaming, never across classes. ChangedMask collects
-  // the sessions whose rank moved since the carried state's last probe:
-  // only blocks touching those sessions need their π digests redone.
-  uint64_t ChangedMask = ~0ull;
-  if (Mode == DedupMode::Symmetry && NumSessions > 1) {
-    // Round 0 colors: the class plus the renaming-invariant digests of
-    // the session's blocks and cursors, summed commutatively so the
-    // per-block and per-cursor layers above are reusable as-is. The
-    // refinement scratch lives on the stack for the (mask-supported)
-    // ≤ 64-session fast path — this runs on every probe, so four heap
-    // allocations here were measurable.
-    uint64_t D0Stack[64], D1Stack[64];
-    uint32_t SortStack[64], PiStack[64];
-    std::vector<uint64_t> D0Heap, D1Heap;
-    std::vector<uint32_t> SortHeap, PiHeap;
-    uint64_t *D0 = D0Stack, *D1 = D1Stack;
-    uint32_t *Sorted = SortStack, *NewPi = PiStack;
-    if (NumSessions > 64) {
-      D0Heap.resize(NumSessions);
-      D1Heap.resize(NumSessions);
-      SortHeap.resize(NumSessions);
-      PiHeap.resize(NumSessions);
-      D0 = D0Heap.data();
-      D1 = D1Heap.data();
-      Sorted = SortHeap.data();
-      NewPi = PiHeap.data();
-    }
-    for (uint32_t S = 0; S != NumSessions; ++S)
-      D0[S] = hashCombine64(0x9159015a3070dd17ULL, ClassOf[S]);
-    for (const DedupFp::BlockEntry &E : Fp.Blocks)
-      if (E.Session != TxnUid::InitSession)
-        D0[E.Session] += splitmix64(E.InvDig);
-    for (const DedupFp::CursorEntry &E : Fp.CursorEnts) {
-      uint32_t S = static_cast<uint32_t>(E.Packed >> 32);
-      if (S == TxnUid::InitSession)
-        continue;
-      assert(S < NumSessions && "cursor names an unknown session");
-      D0[S] += splitmix64(E.InvA ^ 0x452821e638d01377ULL);
-    }
-    // Round 1: refine with the round-0 colors of each read's writer
-    // session, so same-class sessions distinguished only through whom
-    // they read from still sort apart.
-    for (uint32_t S = 0; S != NumSessions; ++S)
-      D1[S] = D0[S];
-    for (const auto &[Reader, Writer] : Fp.ReadPairs)
-      D1[Reader] += splitmix64(D0[Writer]);
-    std::iota(Sorted, Sorted + NumSessions, 0u);
-    std::sort(Sorted, Sorted + NumSessions, [&](uint32_t A, uint32_t B) {
-      if (ClassOf[A] != ClassOf[B])
-        return ClassOf[A] < ClassOf[B];
-      if (D1[A] != D1[B])
-        return D1[A] < D1[B];
-      return A < B;
-    });
-    for (uint32_t Rank = 0; Rank != NumSessions; ++Rank)
-      NewPi[Sorted[Rank]] = Rank;
-    if (NumSessions <= 64 && Fp.Pi.size() == NumSessions) {
-      ChangedMask = 0;
-      for (uint32_t S = 0; S != NumSessions; ++S)
-        if (NewPi[S] != Fp.Pi[S])
-          ChangedMask |= 1ull << S;
-    }
-    Fp.Pi.assign(NewPi, NewPi + NumSessions);
-  } else {
-    // Identity renaming (Exact mode or a single session): π never moves,
-    // so only dirty blocks need their digests redone.
-    ChangedMask = 0;
-    Fp.Pi.clear();
+  // Canonical session permutation: sessions are renamed to their rank
+  // under a sort by (structural class, refined color, original id). The
+  // class blocks of the sort are a pure function of the program, so the
+  // composed difference between any two items' permutations stays
+  // *within* classes — fingerprint equality therefore certifies equality
+  // modulo a structural-class renaming, never across classes. ChangedMask
+  // collects the sessions whose rank moved since the carried state's last
+  // probe: only blocks touching those sessions need their π digests
+  // redone.
+  //
+  // Round 0 colors: the class plus the renaming-invariant digests of
+  // the session's blocks and cursors, summed commutatively so the
+  // per-block and per-cursor layers above are reusable as-is. The
+  // refinement scratch lives on the stack for the (mask-supported)
+  // ≤ 64-session fast path — this runs on every probe, so four heap
+  // allocations here were measurable.
+  uint64_t D0Stack[64], D1Stack[64];
+  uint32_t SortStack[64], PiStack[64];
+  std::vector<uint64_t> D0Heap, D1Heap;
+  std::vector<uint32_t> SortHeap, PiHeap;
+  uint64_t *D0 = D0Stack, *D1 = D1Stack;
+  uint32_t *Sorted = SortStack, *NewPi = PiStack;
+  if (NumSessions > 64) {
+    D0Heap.resize(NumSessions);
+    D1Heap.resize(NumSessions);
+    SortHeap.resize(NumSessions);
+    PiHeap.resize(NumSessions);
+    D0 = D0Heap.data();
+    D1 = D1Heap.data();
+    Sorted = SortHeap.data();
+    NewPi = PiHeap.data();
   }
+  for (uint32_t S = 0; S != NumSessions; ++S)
+    D0[S] = hashCombine64(0x9159015a3070dd17ULL, ClassOf[S]);
+  for (const DedupFp::BlockEntry &E : Fp.Blocks)
+    if (E.Session != TxnUid::InitSession)
+      D0[E.Session] += splitmix64(E.InvDig);
+  for (const DedupFp::CursorEntry &E : Fp.CursorEnts) {
+    uint32_t S = static_cast<uint32_t>(E.Packed >> 32);
+    if (S == TxnUid::InitSession)
+      continue;
+    assert(S < NumSessions && "cursor names an unknown session");
+    D0[S] += splitmix64(E.InvA ^ 0x452821e638d01377ULL);
+  }
+  // Round 1: refine with the round-0 colors of each read's writer
+  // session, so same-class sessions distinguished only through whom
+  // they read from still sort apart.
+  for (uint32_t S = 0; S != NumSessions; ++S)
+    D1[S] = D0[S];
+  for (const auto &[Reader, Writer] : Fp.ReadPairs)
+    D1[Reader] += splitmix64(D0[Writer]);
+  std::iota(Sorted, Sorted + NumSessions, 0u);
+  std::sort(Sorted, Sorted + NumSessions, [&](uint32_t A, uint32_t B) {
+    if (ClassOf[A] != ClassOf[B])
+      return ClassOf[A] < ClassOf[B];
+    if (D1[A] != D1[B])
+      return D1[A] < D1[B];
+    return A < B;
+  });
+  for (uint32_t Rank = 0; Rank != NumSessions; ++Rank)
+    NewPi[Sorted[Rank]] = Rank;
+  uint64_t ChangedMask = ~0ull;
+  if (NumSessions <= 64 && Fp.Pi.size() == NumSessions) {
+    ChangedMask = 0;
+    for (uint32_t S = 0; S != NumSessions; ++S)
+      if (NewPi[S] != Fp.Pi[S])
+        ChangedMask |= 1ull << S;
+  }
+  Fp.Pi.assign(NewPi, NewPi + NumSessions);
 
   // Refresh the π-renamed layer and fold the commutative sums. Depth and
   // ConstraintState are excluded: Depth is driver bookkeeping and the
@@ -554,15 +510,6 @@ bool DedupTable::insertIfNew(const Fingerprint &F) const {
   Sh.Map.emplace(F, Victim);
   ++Sh.Evictions;
   return true;
-}
-
-uint64_t DedupTable::size() const {
-  uint64_t Total = 0;
-  for (const Shard &Sh : Shards) {
-    std::lock_guard<std::mutex> Guard(Sh.M);
-    Total += MaxPerShard ? Sh.Map.size() : Sh.Set.size();
-  }
-  return Total;
 }
 
 uint64_t DedupTable::evictions() const {

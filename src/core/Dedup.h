@@ -6,38 +6,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Unfolding-style subtree deduplication: a canonical fingerprint of a
+/// Session-symmetry subtree deduplication: a canonical fingerprint of a
 /// WorkItem (history structure + cursor snapshot + base levels), memoized
-/// in a sharded table so isomorphic subtrees are expanded once. Modeled on
-/// POR-SE's event-structure unfolding (canonical configuration
+/// in a sharded table so renaming-isomorphic subtrees are expanded once.
+/// Modeled on POR-SE's event-structure unfolding (canonical configuration
 /// fingerprints in a shared table); adapted here to the transactional
 /// exploration tree, where the symmetry worth exploiting is *session
 /// renaming* in programs with structurally identical sessions.
 ///
-/// Two fingerprinting modes (DedupMode, core/ExplorerConfig.h):
-///
-///   * Exact: the fingerprint is an order-sensitive 128-bit hash of the
-///     item as-is. expandItem is a deterministic function of (item,
-///     engine), so two items with equal structure root identical subtrees
-///     and skipping the second preserves the output *set* exactly. This
-///     de-dupes e.g. the duplicate items the §5.3 ablations generate.
-///
-///   * Symmetry: session ids are first renamed to a canonical permutation.
-///     Sessions are partitioned once per table into *structural classes*
-///     (same transaction bodies, same count, same base level); within each
-///     class a canonical order is chosen per item by a two-round color
-///     refinement over per-session event-sequence digests. Renaming is
-///     sound because a structural-class permutation π maps the program to
-///     itself: π applied to a reachable item yields a reachable item whose
-///     subtree is the π-image of the original's, and per-session level
-///     verdicts are invariant under within-class renaming. A wrong (but
-///     deterministic) canonical choice can only cost effectiveness, never
-///     soundness of the fingerprint itself — the fingerprint hashes the
-///     *renamed* item exactly.
+/// explore-ce is strongly optimal: it never reaches the same item twice,
+/// so an order-preserving fingerprint could never hit. Session ids are
+/// therefore renamed to a canonical permutation first. Sessions are
+/// partitioned once per table into *structural classes* (same transaction
+/// bodies, same count, same base level); within each class a canonical
+/// order is chosen per item by a two-round color refinement over
+/// per-session event-sequence digests. Renaming is sound because a
+/// structural-class permutation π maps the program to itself: π applied
+/// to a reachable item yields a reachable item whose subtree is the
+/// π-image of the original's, and per-session level verdicts are
+/// invariant under within-class renaming. A wrong (but deterministic)
+/// canonical choice can only cost effectiveness, never soundness of the
+/// fingerprint itself — the fingerprint hashes the *renamed* item exactly.
+/// When every class is a singleton the renaming is the identity and no
+/// probe can hit, so the engine builds no table at all (symmetric()).
 ///
 /// The table is internally synchronized (sharded mutexes) and its probe
 /// entry points are const, so the one engine instance shared by the
-/// recursive, iterative and parallel drivers covers all of them.
+/// sequential and parallel drivers covers all of them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +40,6 @@
 #define TXDPOR_CORE_DEDUP_H
 
 #include "consistency/IsolationLevel.h"
-#include "core/ExplorerConfig.h"
 #include "history/History.h"
 #include "program/Program.h"
 #include "semantics/Executor.h"
@@ -79,12 +73,6 @@ struct FingerprintHash {
   }
 };
 
-/// Order-insensitive exact fingerprint of a history alone (logs sorted by
-/// uid, no session renaming). Hashes exactly the information canonicalKey
-/// serializes, so canonicalKey equality ⇔ fingerprint equality up to hash
-/// collisions (asserted over fuzz corpora in tests/dedup_test.cpp).
-Fingerprint historyFingerprint(const History &H);
-
 /// Incrementally carried fingerprint state of one WorkItem, updated O(Δ)
 /// as the engine extends the item and consumed by
 /// DedupTable::itemFingerprint. The final fingerprint is a commutative
@@ -95,7 +83,7 @@ Fingerprint historyFingerprint(const History &H);
 /// The engine maintains per item: a new block on begin (noteNewBlock),
 /// a dirty bit per mutated block (markDirty), and the (reader, writer)
 /// session pair of every non-init external read (noteReadPair — the
-/// color-refinement edges of Symmetry mode). Swap children start from a
+/// color-refinement edges). Swap children start from a
 /// default-constructed (invalid) value: the next probe falls back to the
 /// full from-scratch walk, which is also the always-correct reference the
 /// engine cross-asserts against in debug builds.
@@ -151,12 +139,11 @@ struct DedupFp {
   /// Packed uids whose cursor mutated since the last probe (the engine
   /// notes exactly one per extension child).
   std::vector<uint64_t> DirtyCursors;
-  /// Session permutation chosen by the last probe (empty = identity);
+  /// Session permutation chosen by the last probe (empty before it);
   /// diffed against the new permutation to find moved sessions.
   std::vector<uint32_t> Pi;
   /// (reader session, writer session) of every non-init external read, in
-  /// append order (consumed commutatively). Maintained only in Symmetry
-  /// mode.
+  /// append order (consumed commutatively).
   std::vector<std::pair<uint32_t, uint32_t>> ReadPairs;
 
   /// Marks block \p Idx as changed (event appended, writer assigned).
@@ -190,21 +177,24 @@ struct DedupFp {
 };
 
 /// The memoized explored-fingerprint table of one exploration run.
-/// Constructed by the ExplorationEngine when ExplorerConfig::Dedup is not
-/// Off; shared by every driver that run uses.
+/// Built by the ExplorationEngine when ExplorerConfig::Dedup is set and
+/// the program is symmetric(); shared by every driver that run uses.
 class DedupTable {
 public:
   /// \p Levels must be the engine's *resolved* per-session assignment —
   /// it both salts the fingerprint (so tables are never reused across
-  /// semantics) and separates structural session classes in Symmetry mode.
+  /// semantics) and separates structural session classes.
   /// \p MaxEntries bounds the memo table: 0 (the default) keeps every
   /// fingerprint forever; a positive value caps the table at roughly that
   /// many entries with per-shard CLOCK eviction (an evicted subtree is
   /// merely re-explored — never wrongly skipped).
   DedupTable(const Program &Prog, const LevelAssignment &Levels,
-             DedupMode Mode, uint64_t MaxEntries = 0);
+             uint64_t MaxEntries = 0);
 
-  DedupMode mode() const { return Mode; }
+  /// True iff some structural class holds two or more sessions. Otherwise
+  /// every renaming is the identity and, explore-ce being strongly
+  /// optimal, no probe of this table can ever hit.
+  bool symmetric() const { return NumClasses < NumSessions; }
 
   /// The canonical fingerprint of one WorkItem (history + cursor
   /// snapshot; Depth is exploration bookkeeping and CState is derived
@@ -215,7 +205,7 @@ public:
   /// item's children. A null (or invalid) carried
   /// state takes the full from-scratch walk — both paths produce the
   /// identical fingerprint (cross-asserted by the engine in debug builds
-  /// and by the DifferentialOracle's DiffDedup legs in release).
+  /// and by the DifferentialOracle's DiffDedup leg in release).
   Fingerprint itemFingerprint(const History &H, const CursorMap &Cursors,
                               DedupFp *Carried = nullptr) const;
 
@@ -223,10 +213,6 @@ public:
   /// subtree rooted at the fingerprinted item is new). In bounded mode a
   /// full shard evicts its CLOCK victim to make room. Thread-safe.
   bool insertIfNew(const Fingerprint &F) const;
-
-  /// Fingerprints memoized so far (sums the shards; approximate under
-  /// concurrent insertion).
-  uint64_t size() const;
 
   /// CLOCK victims evicted so far (0 in unbounded mode).
   uint64_t evictions() const;
@@ -268,11 +254,10 @@ private:
     mutable uint64_t Evictions = 0;
   };
 
-  DedupMode Mode;
   unsigned NumSessions;
+  unsigned NumClasses = 0;
   uint64_t MaxPerShard = 0; ///< 0 = unbounded.
-  /// Session → structural class id (Symmetry mode; identity classes are
-  /// still computed in Exact mode but unused there).
+  /// Session → structural class id.
   std::vector<uint32_t> ClassOf;
   /// Fold of the program text + resolved levels: items from different
   /// semantics can never alias.

@@ -57,9 +57,15 @@ ExplorationEngine::ExplorationEngine(const Program &Prog,
            "oracle order must cover the whole program");
     Order = OracleOrder::fromSequence(OracleSequence);
   }
-  if (this->Config.Dedup != DedupMode::Off)
-    Dedup = std::make_unique<DedupTable>(Prog, BaseLevels, this->Config.Dedup,
+  if (this->Config.Dedup) {
+    // Without a two-session structural class every renaming is the
+    // identity and strong optimality rules out a hit: such runs take the
+    // dedup-off path.
+    Dedup = std::make_unique<DedupTable>(Prog, BaseLevels,
                                          this->Config.DedupMaxEntries);
+    if (!Dedup->symmetric())
+      Dedup.reset();
+  }
 }
 
 WorkItem ExplorationEngine::initialItem() const {
@@ -275,8 +281,7 @@ void ExplorationEngine::expandItem(WorkItem Item, std::vector<WorkItem> &Out,
       ConstraintState BranchState = CState;
       BranchState.applyExternalRead(W, Next.Op.Var);
       DedupFp BranchFp = Item.Fp; // Idx is already marked dirty above.
-      if (Dedup && Dedup->mode() == DedupMode::Symmetry &&
-          !H.txn(W).uid().isInit())
+      if (!H.txn(W).uid().isInit())
         BranchFp.noteReadPair(Next.Uid.Session, H.txn(W).uid().Session);
       BranchFp.noteCursorDirty(Next.Uid.packed());
       CursorMap BranchCursors = Cursors;

@@ -26,8 +26,8 @@
 /// MaxEndStates budget) goes through the optional atomics in the sink.
 ///
 /// Drivers:
-///   * Explorer (core/Explorer.h)          — sequential, recursive or
-///     explicit-stack depth-first walk;
+///   * Explorer (core/Explorer.h)          — sequential explicit-stack
+///     depth-first walk (drainDepthFirst);
 ///   * ParallelExplorer (parallel/...)     — breadth-first frontier split
 ///     plus work-stealing depth-first workers.
 ///
@@ -167,16 +167,17 @@ private:
   const ConsistencyChecker *Filter = nullptr;
   std::vector<TxnUid> OracleSequence; ///< Start order used by Next.
   OracleOrder Order;                  ///< Comparator shared with swapped().
-  /// Explored-fingerprint memo, present iff Config.Dedup != Off. Sharded
-  /// and internally synchronized, so the one engine the parallel driver
-  /// shares across workers needs no extra coordination.
+  /// Explored-fingerprint memo, present iff Config.Dedup is set and the
+  /// program is DedupTable::symmetric(). Sharded and internally
+  /// synchronized, so the one engine the parallel driver shares across
+  /// workers needs no extra coordination.
   std::unique_ptr<DedupTable> Dedup;
 };
 
 /// Depth-first drain of the subtree rooted at \p Root: an explicit LIFO
 /// stack popping nodes in exactly the recursive visit order (§7.1). The
-/// walk shared by the sequential iterative driver and the parallel
-/// driver's single-thread fallback.
+/// walk shared by the sequential Explorer and the parallel driver's
+/// single-thread fallback.
 void drainDepthFirst(const ExplorationEngine &Engine, WorkItem Root,
                      ExplorationSink &S);
 

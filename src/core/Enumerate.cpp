@@ -18,6 +18,39 @@ EnumerationResult txdpor::enumerateHistories(const Program &Prog,
   return Result;
 }
 
+namespace {
+
+/// Expands \p Item, then recurses into each child in order (depth-first
+/// on the C++ call stack).
+void exploreRecursively(const ExplorationEngine &Engine, WorkItem Item,
+                        ExplorationSink &S) {
+  std::vector<WorkItem> Children;
+  Engine.expandItem(std::move(Item), Children, S);
+  for (WorkItem &Child : Children) {
+    // Mirror drainDepthFirst: once stopped, expand nothing further, so
+    // both walks report identical statistics even for truncated runs.
+    if (Engine.shouldStop(S))
+      return;
+    exploreRecursively(Engine, std::move(Child), S);
+  }
+}
+
+} // namespace
+
+EnumerationResult txdpor::enumerateRecursively(const Program &Prog,
+                                               ExplorerConfig Config) {
+  ExplorationEngine Engine(Prog, std::move(Config));
+  EnumerationResult Result;
+  ExplorationSink S;
+  S.Visit = [&](const History &H) { Result.Histories.push_back(H); };
+  S.OnExplore = Engine.config().OnExplore;
+  S.TimeBudget = Engine.config().TimeBudget;
+  exploreRecursively(Engine, Engine.initialItem(), S);
+  S.Stats.DedupEvictions = Engine.dedupEvictions();
+  Result.Stats = S.Stats;
+  return Result;
+}
+
 EnumerationResult txdpor::enumerateReference(const Program &Prog,
                                              IsolationLevel Level,
                                              bool Unrestricted) {

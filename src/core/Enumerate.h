@@ -38,6 +38,14 @@ struct EnumerationResult {
 EnumerationResult enumerateHistories(const Program &Prog,
                                      ExplorerConfig Config);
 
+/// Reference walk of the same exploration tree: plain recursion on the
+/// C++ call stack instead of Explorer's explicit-stack worklist (§7.1).
+/// Histories come back in visit order, so tests and the differential
+/// oracle can pin the worklist's visit order and statistics against it.
+/// Sequential; ignores Config.Threads.
+EnumerationResult enumerateRecursively(const Program &Prog,
+                                       ExplorerConfig Config);
+
 /// Reference enumeration of hist_I(P): naive DFS with deduplication.
 /// Ground truth for the completeness/optimality tests.
 EnumerationResult enumerateReference(const Program &Prog,

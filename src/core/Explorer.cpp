@@ -68,10 +68,7 @@ ExplorerStats Explorer::run(const HistoryVisitor &VisitFn) {
   S.TimeBudget = Config.TimeBudget;
   Stopwatch Timer;
 
-  if (Config.Iterative)
-    exploreIterative(Engine.initialItem(), S);
-  else
-    exploreRecursive(Engine.initialItem(), S);
+  drainDepthFirst(Engine, Engine.initialItem(), S);
 
   S.Stats.ElapsedMillis = Timer.elapsedMillis();
   S.Stats.PeakRssKb = peakRssKb();
@@ -84,24 +81,4 @@ ExplorerStats txdpor::exploreProgram(const Program &Prog,
                                      const HistoryVisitor &Visit) {
   Explorer E(Prog, std::move(Config));
   return E.run(Visit);
-}
-
-void Explorer::exploreRecursive(WorkItem Item, ExplorationSink &S) {
-  std::vector<WorkItem> Children;
-  Engine.expandItem(std::move(Item), Children, S);
-  for (WorkItem &Child : Children) {
-    // Mirror drainDepthFirst: once stopped, expand nothing further, so
-    // both walks report identical statistics even for truncated runs.
-    if (Engine.shouldStop(S))
-      return;
-    exploreRecursive(std::move(Child), S);
-  }
-}
-
-// The iterative implementation (§7.1) is the shared drainDepthFirst walk:
-// a depth-first worklist whose items pop in exactly the order the
-// recursive implementation visits them — outputs and aggregate statistics
-// coincide (asserted by the test suite).
-void Explorer::exploreIterative(WorkItem Root, ExplorationSink &S) {
-  drainDepthFirst(Engine, std::move(Root), S);
 }

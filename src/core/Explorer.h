@@ -21,13 +21,14 @@
 ///
 /// The per-node expansion lives in ExplorationEngine (core/Engine.h) and
 /// is shared with the parallel driver (parallel/ParallelExplorer.h); this
-/// class only chooses *how the tree is walked*: plain recursion, or the
-/// explicit-stack worklist of §7.1 (Config.Iterative). Both walks visit
-/// nodes in exactly the same order and produce identical outputs and
-/// statistics (asserted by the test suite). Like the paper's worklist
-/// tool, a node's children are materialized together before descending,
-/// so peak live memory is O(depth × branching) histories — still
-/// polynomial (Thm. 5.1's bound is per-history anyway).
+/// class walks the tree with the explicit-stack worklist of §7.1
+/// (drainDepthFirst), popping nodes in exactly the recursive visit order
+/// (pinned against the recursive reference walk, enumerateRecursively in
+/// core/Enumerate.h, by the test suite), with no C++ stack-depth limit.
+/// Like the paper's worklist tool, a node's children are materialized
+/// together before descending, so peak live memory is O(depth ×
+/// branching) histories — still polynomial (Thm. 5.1's bound is
+/// per-history anyway).
 ///
 /// For BaseLevel ∈ {true, RC, RA, CC} the exploration is sound, complete,
 /// strongly optimal and polynomial space (Theorem 5.1); with a FilterLevel
@@ -55,14 +56,6 @@ public:
   ExplorerStats run(const HistoryVisitor &Visit = {});
 
 private:
-  /// Recursive walk: expand the node, then recurse into each child in
-  /// order (depth-first on the C++ call stack).
-  void exploreRecursive(WorkItem Item, ExplorationSink &S);
-
-  /// Iterative (explicit-stack) variant (§7.1); pops depth-first so the
-  /// visit order matches the recursive walk exactly.
-  void exploreIterative(WorkItem Root, ExplorationSink &S);
-
   ExplorationEngine Engine;
 };
 

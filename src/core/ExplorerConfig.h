@@ -33,21 +33,6 @@
 
 namespace txdpor {
 
-/// Subtree-deduplication mode (core/Dedup.h). Off by default so uniform
-/// runs stay byte-identical to pre-dedup builds.
-///
-///   * Off      — every subtree is expanded (the historical behaviour);
-///   * Exact    — memoize a fingerprint of each expanded WorkItem and skip
-///     items whose fingerprint was already expanded. expandItem is a
-///     deterministic function of the item, so identical items root
-///     identical subtrees and skipping repeats preserves the output *set*
-///     exactly (multiplicities may drop where the §5.3 ablations generate
-///     duplicates);
-///   * Symmetry — additionally canonicalize session ids modulo renaming
-///     within structural session classes before fingerprinting, so
-///     isomorphic subtrees of symmetric programs are explored once.
-enum class DedupMode : uint8_t { Off, Exact, Symmetry };
-
 /// Options of one exploration run.
 struct ExplorerConfig {
   /// I0: the prefix-closed, causally-extensible level driving ValidWrites
@@ -93,14 +78,6 @@ struct ExplorerConfig {
   /// by the test suite to assert the Appendix E invariants dynamically.
   std::function<void(const History &)> OnExplore;
 
-  /// Use the iterative worklist implementation instead of recursion. The
-  /// paper's JPF tool does the same "for performance reasons ... inputs
-  /// to recursive calls are maintained as a collection of histories
-  /// instead of relying on the call stack" (§7.1). Outputs and statistics
-  /// are identical to the recursive implementation (asserted by the test
-  /// suite); only the C++ stack usage differs.
-  bool Iterative = false;
-
   /// Worker threads of the parallel driver (parallel/ParallelExplorer.h).
   /// 0 or 1 means sequential; the sequential Explorer ignores this. The
   /// output history set is identical for every value (the exploration tree
@@ -128,11 +105,17 @@ struct ExplorerConfig {
   /// is scheduler-independent), only the exploration order changes.
   std::vector<TxnUid> OracleOrderOverride;
 
-  /// Subtree dedup: skip WorkItems whose (optionally session-canonicalized)
-  /// fingerprint has already been expanded. The engine owns one
-  /// internally-synchronized table per run, shared by all drivers
-  /// (recursive, iterative, parallel). See core/Dedup.h.
-  DedupMode Dedup = DedupMode::Off;
+  /// Session-symmetry subtree dedup (core/Dedup.h): skip WorkItems whose
+  /// fingerprint, with session ids canonicalized modulo renaming within
+  /// structural session classes, has already been expanded. The output
+  /// set may lose renaming-isomorphic histories; per-level violation
+  /// verdicts are preserved. explore-ce never reaches one item twice
+  /// (strong optimality, with the §5.3 restrictions on), so only a
+  /// renaming can ever hit: the engine
+  /// builds its table (one per run, shared by every driver) only when
+  /// some structural class holds two or more sessions, and otherwise
+  /// runs the dedup-off path and reports 0 checks. Off by default.
+  bool Dedup = false;
 
   /// Memo-table bound for the dedup table: 0 (the default) memoizes every
   /// fingerprint forever — byte-identical to pre-bound builds; a positive
@@ -145,7 +128,7 @@ struct ExplorerConfig {
   /// probed fingerprint from scratch and count disagreements into
   /// ExplorerStats::DedupFpMismatches instead of skipping silently wrong.
   /// Debug builds always assert this; the flag lets the
-  /// DifferentialOracle's DiffDedup legs verify it in optimized fuzzing
+  /// DifferentialOracle's DiffDedup leg verify it in optimized fuzzing
   /// runs too.
   bool DedupVerifyCarried = false;
 
@@ -197,8 +180,8 @@ struct ExplorerStats {
   uint64_t StealFailures = 0;
   uint64_t IdleParks = 0;
   uint64_t FrontierItems = 0;
-  /// Subtree-dedup observability (zero when Dedup is Off): fingerprint
-  /// probes performed and subtrees skipped as already explored.
+  /// Subtree-dedup observability (zero when no dedup table was built):
+  /// fingerprint probes performed and subtrees skipped as already explored.
   uint64_t DedupChecks = 0;
   uint64_t DedupSkips = 0;
   /// CLOCK victims evicted from a bounded dedup table (0 when unbounded).

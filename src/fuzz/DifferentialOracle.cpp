@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <unordered_set>
 
 using namespace txdpor;
 using namespace txdpor::fuzz;
@@ -421,9 +422,195 @@ std::vector<Disagreement> DifferentialOracle::checkHistory(
   return Out;
 }
 
+Program txdpor::fuzz::symmetrized(const Program &P) {
+  ProgramBuilder B;
+  for (VarId V = 0; V != P.numVars(); ++V)
+    B.var(P.varName(V));
+  unsigned Last = P.numSessions() - 1;
+  for (unsigned S = 0; S <= Last; ++S) {
+    unsigned From = S == Last ? 0 : S;
+    for (unsigned T = 0; T != P.numTxns(From); ++T) {
+      const Transaction &Txn = P.txn({From, T});
+      auto Copy = B.beginTxn(S, Txn.name());
+      for (LocalId L = 0; L != Txn.numLocals(); ++L)
+        Copy.internLocal(Txn.localName(L));
+      for (const Instr &I : Txn.body())
+        Copy.append(I);
+    }
+  }
+  Program Sym = B.build();
+  LevelAssignment Levels = P.levels();
+  if (Levels.hasExplicit())
+    Levels.set(Last, Levels.levelFor(0));
+  Sym.setLevels(std::move(Levels));
+  return Sym;
+}
+
+namespace {
+
+bool hasViolation(const std::vector<History> &Hs, IsolationLevel L) {
+  for (const History &H : Hs)
+    if (!isConsistent(H, L))
+      return true;
+  return false;
+}
+
+} // namespace
+
+std::optional<std::vector<History>> DifferentialOracle::diffExplorers(
+    const Program &P, ExplorerConfig RefConfig, const std::string &Label,
+    const Disagreement &Proto, const std::vector<IsolationLevel> &Verdicts,
+    std::vector<Disagreement> &Out, uint64_t *SymmetryLegRuns) const {
+  auto Report = [&](Disagreement::Kind K, std::string Detail,
+                    std::optional<History> Culprit = std::nullopt) {
+    Disagreement D = Proto;
+    D.K = K;
+    D.Detail = std::move(Detail);
+    D.Culprit = std::move(Culprit);
+    Out.push_back(std::move(D));
+  };
+  // Abort oversized enumerations at the cap instead of paying for the
+  // full (possibly combinatorial) set only to discard it. Without a
+  // filter, outputs are exactly end states, so the cap is precise; the
+  // other legs inherit it but never trigger it (they only run when the
+  // reference stayed under the cap).
+  if (Config.MaxHistoriesPerCase)
+    RefConfig.MaxEndStates = Config.MaxHistoriesPerCase + 1;
+  auto Oversized = [&](const EnumerationResult &R) {
+    return Config.MaxHistoriesPerCase &&
+           (R.Stats.HitEndStateCap ||
+            R.Histories.size() > Config.MaxHistoriesPerCase);
+  };
+
+  // Strong optimality (Thm. 5.1): the reference run expands no item twice
+  // (keyed by the ordered rendering, so block order counts) and emits no
+  // history twice.
+  std::unordered_set<std::string> Expanded;
+  std::optional<History> Repeated;
+  ExplorerConfig Traced = RefConfig;
+  if (Config.DiffExplorers)
+    Traced.OnExplore = [&](const History &H) {
+      if (!Repeated && !Expanded.insert(H.str()).second)
+        Repeated = H;
+    };
+  EnumerationResult Ref = enumerateHistories(P, Traced);
+  if (Oversized(Ref))
+    return std::nullopt;
+  auto RefKeys = keyMultiset(Ref.Histories);
+
+  if (Config.DiffExplorers) {
+    for (const auto &[Key, N] : RefKeys) {
+      if (N == 1)
+        continue;
+      for (const History &H : Ref.Histories)
+        if (H.canonicalKey() == Key) {
+          Report(Disagreement::Kind::DuplicateOutput,
+                 "explorer emitted one history " + std::to_string(N) +
+                     " times under " + Label,
+                 H);
+          break;
+        }
+      break; // One duplicate report per sweep point is plenty.
+    }
+    if (Repeated)
+      Report(Disagreement::Kind::DuplicateOutput,
+             "explorer expanded one item twice under " + Label, *Repeated);
+
+    // Driver diffs: the recursive reference walk must reproduce the
+    // worklist's output sequence (visit order included), the parallel
+    // driver its output multiset (thread-count invariance).
+    EnumerationResult Rec = enumerateRecursively(P, RefConfig);
+    auto Keys = [](const std::vector<History> &Hs) {
+      std::vector<std::string> Ks;
+      for (const History &H : Hs)
+        Ks.push_back(H.canonicalKey());
+      return Ks;
+    };
+    if (Keys(Rec.Histories) != Keys(Ref.Histories))
+      Report(Disagreement::Kind::ExplorerSetMismatch,
+             "recursive vs worklist output sequence under " + Label + ": " +
+                 diffSummary(keyMultiset(Rec.Histories), RefKeys,
+                             "recursive", "worklist"));
+
+    if (Config.Threads > 1) {
+      ExplorerConfig Par = RefConfig;
+      Par.Threads = Config.Threads;
+      std::vector<History> ParHistories;
+      ParallelExplorer E(P, Par);
+      E.run([&](const History &H) { ParHistories.push_back(H); });
+      auto ParKeys = keyMultiset(ParHistories);
+      if (ParKeys != RefKeys)
+        Report(Disagreement::Kind::ExplorerSetMismatch,
+               "parallel(" + std::to_string(Config.Threads) +
+                   ") vs worklist under " + Label + ": " +
+                   diffSummary(ParKeys, RefKeys, "parallel", "worklist"));
+    }
+  }
+
+  // Symmetry dedup, on a symmetrized copy of the case (an asymmetric
+  // program builds no table, so the leg would check nothing): it may drop
+  // renaming-isomorphic histories but must never invent one
+  // (sub-multiset of the dedup-off run) and must reach the same violation
+  // verdict at every level in \p Verdicts. DedupVerifyCarried re-derives
+  // every probe's O(Δ) carried fingerprint from scratch, giving this
+  // optimized leg the teeth of the engine's debug assert. Deliberately the
+  // unmutated production checkers: the leg guards dedup, not the axioms.
+  if (Config.DiffDedup && P.numSessions() > 1) {
+    Program SymP = symmetrized(P);
+    ExplorerConfig Off = RefConfig;
+    if (Off.BaseLevels.hasExplicit())
+      Off.BaseLevels.set(P.numSessions() - 1, Off.BaseLevels.levelFor(0));
+    EnumerationResult SymRef = enumerateHistories(SymP, Off);
+    if (!Oversized(SymRef)) {
+      ExplorerConfig On = Off;
+      On.Dedup = true;
+      On.DedupVerifyCarried = true;
+      EnumerationResult SymRes = enumerateHistories(SymP, On);
+      if (SymmetryLegRuns && SymRes.Stats.DedupChecks != 0)
+        ++*SymmetryLegRuns;
+      if (SymRes.Stats.DedupFpMismatches != 0)
+        Report(Disagreement::Kind::CarriedFingerprintMismatch,
+               "dedup=symmetry under " + Label + ": " +
+                   std::to_string(SymRes.Stats.DedupFpMismatches) +
+                   " carried fingerprints differ from the from-scratch "
+                   "fingerprint");
+      auto OffKeys = keyMultiset(SymRef.Histories);
+      auto SymKeys = keyMultiset(SymRes.Histories);
+      bool Included = true;
+      for (const auto &[Key, N] : SymKeys) {
+        auto It = OffKeys.find(Key);
+        Included &= It != OffKeys.end() && It->second >= N;
+      }
+      if (!Included) {
+        Report(Disagreement::Kind::DedupVerdictMismatch,
+               "dedup=symmetry emitted histories outside the dedup=off set "
+               "under " +
+                   Label + ": " +
+                   diffSummary(SymKeys, OffKeys, "symmetry", "off"));
+      } else {
+        for (IsolationLevel L : Verdicts) {
+          bool OffViolates = hasViolation(SymRef.Histories, L);
+          bool SymViolates = hasViolation(SymRes.Histories, L);
+          if (OffViolates == SymViolates)
+            continue;
+          Disagreement D = Proto;
+          D.K = Disagreement::Kind::DedupVerdictMismatch;
+          D.Level = L;
+          D.Detail = "dedup=symmetry under " + Label + " changes the " +
+                     isolationLevelName(L) + " violation verdict (off: " +
+                     (OffViolates ? "violating" : "clean") + ", symmetry: " +
+                     (SymViolates ? "violating" : "clean") + ")";
+          Out.push_back(std::move(D));
+        }
+      }
+    }
+  }
+  return std::move(Ref.Histories);
+}
+
 void DifferentialOracle::checkMixedSemantics(
     const Program &P, const std::vector<IsolationLevel> &SessionLevels,
-    std::vector<Disagreement> &Out) const {
+    std::vector<Disagreement> &Out, uint64_t *SymmetryLegRuns) const {
   // Clamp the sampled mix to the causally-extensible chain (identically
   // for every leg below): SI/SER cannot drive ValidWrites, so such
   // sessions explore — and are verdict-checked — at CC.
@@ -447,112 +634,19 @@ void DifferentialOracle::checkMixedSemantics(
     return D;
   };
 
-  ExplorerConfig Recursive = ExplorerConfig::exploreCEMixed(Mix);
-  if (Config.MaxHistoriesPerCase)
-    Recursive.MaxEndStates = Config.MaxHistoriesPerCase + 1;
-  EnumerationResult Ref = enumerateHistories(P, Recursive);
-  if (Config.MaxHistoriesPerCase &&
-      (Ref.Stats.HitEndStateCap ||
-       Ref.Histories.size() > Config.MaxHistoriesPerCase))
-    return; // Too large to diff affordably.
-  auto RefKeys = keyMultiset(Ref.Histories);
-
-  // Strong optimality must survive the mixed base: no duplicates.
-  for (const auto &[Key, N] : RefKeys) {
-    if (N == 1)
-      continue;
-    Disagreement D = MakeDisagreement(
-        Disagreement::Kind::DuplicateOutput,
-        "recursive explorer emitted one history " + std::to_string(N) +
-            " times under mix(" + Resolved.str() + ")");
-    for (const History &H : Ref.Histories)
-      if (H.canonicalKey() == Key) {
-        D.Culprit = H;
-        break;
-      }
-    Out.push_back(std::move(D));
-    break;
-  }
-
-  // Driver diffs under the mixed base: iterative and parallel walks must
-  // reproduce the recursive output multiset (thread-count invariance).
-  ExplorerConfig Iterative = Recursive;
-  Iterative.Iterative = true;
-  auto IterKeys = keyMultiset(enumerateHistories(P, Iterative).Histories);
-  if (IterKeys != RefKeys)
-    Out.push_back(MakeDisagreement(
-        Disagreement::Kind::ExplorerSetMismatch,
-        "iterative vs recursive under mix(" + Resolved.str() +
-            "): " + diffSummary(IterKeys, RefKeys, "iterative", "recursive")));
-
-  if (Config.Threads > 1) {
-    ExplorerConfig Par = Recursive;
-    Par.Threads = Config.Threads;
-    std::vector<History> ParHistories;
-    ParallelExplorer E(P, Par);
-    E.run([&](const History &H) { ParHistories.push_back(H); });
-    auto ParKeys = keyMultiset(ParHistories);
-    if (ParKeys != RefKeys)
-      Out.push_back(MakeDisagreement(
-          Disagreement::Kind::ExplorerSetMismatch,
-          "parallel(" + std::to_string(Config.Threads) +
-              ") vs recursive under mix(" + Resolved.str() +
-              "): " + diffSummary(ParKeys, RefKeys, "parallel",
-                                  "recursive")));
-  }
-
-  // Dedup under the mixed base: exact must reproduce the multiset;
-  // symmetry must stay inside it (sessions at different levels land in
-  // different structural classes, so a level mix *shrinks* the symmetry
-  // available — never the soundness). Verdict-existence equality is
-  // exercised by the uniform leg; here the set containment is the
+  // Optimality, driver and dedup legs under the mixed base (the dedup
+  // leg's symmetrized copy runs its last session at session 0's level, so
+  // the copied pair shares a structural class). Verdict existence is
+  // exercised by the uniform legs; here the set containment is the
   // mixed-specific property.
-  if (Config.DiffDedup) {
-    // DedupVerifyCarried mirrors the uniform leg: the carried-fingerprint
-    // maintenance must survive mixed bases too (different per-session
-    // levels shrink the structural classes it canonicalizes over).
-    ExplorerConfig Exact = Recursive;
-    Exact.Dedup = DedupMode::Exact;
-    Exact.DedupVerifyCarried = true;
-    EnumerationResult ExactRes = enumerateHistories(P, Exact);
-    auto ExactKeys = keyMultiset(ExactRes.Histories);
-    if (ExactKeys != RefKeys)
-      Out.push_back(MakeDisagreement(
-          Disagreement::Kind::DedupVerdictMismatch,
-          "dedup=exact vs dedup=off under mix(" + Resolved.str() +
-              "): " + diffSummary(ExactKeys, RefKeys, "exact", "off")));
-    if (ExactRes.Stats.DedupFpMismatches != 0)
-      Out.push_back(MakeDisagreement(
-          Disagreement::Kind::CarriedFingerprintMismatch,
-          "dedup=exact under mix(" + Resolved.str() + "): " +
-              std::to_string(ExactRes.Stats.DedupFpMismatches) +
-              " carried fingerprints differ from the from-scratch "
-              "fingerprint"));
-    ExplorerConfig Sym = Recursive;
-    Sym.Dedup = DedupMode::Symmetry;
-    Sym.DedupVerifyCarried = true;
-    EnumerationResult SymRes = enumerateHistories(P, Sym);
-    if (SymRes.Stats.DedupFpMismatches != 0)
-      Out.push_back(MakeDisagreement(
-          Disagreement::Kind::CarriedFingerprintMismatch,
-          "dedup=symmetry under mix(" + Resolved.str() + "): " +
-              std::to_string(SymRes.Stats.DedupFpMismatches) +
-              " carried fingerprints differ from the from-scratch "
-              "fingerprint"));
-    auto SymKeys = keyMultiset(SymRes.Histories);
-    for (const auto &[Key, N] : SymKeys) {
-      auto It = RefKeys.find(Key);
-      if (It == RefKeys.end() || It->second < N) {
-        Out.push_back(MakeDisagreement(
-            Disagreement::Kind::DedupVerdictMismatch,
-            "dedup=symmetry emitted histories outside the dedup=off set "
-            "under mix(" +
-                Resolved.str() +
-                "): " + diffSummary(SymKeys, RefKeys, "symmetry", "off")));
-        break;
-      }
-    }
-  }
+  std::optional<std::vector<History>> Outputs = diffExplorers(
+      P, ExplorerConfig::exploreCEMixed(Mix), "mix(" + Resolved.str() + ")",
+      MakeDisagreement(Disagreement::Kind::ExplorerSetMismatch, ""), {}, Out,
+      SymmetryLegRuns);
+  if (!Outputs)
+    return; // Too large to diff affordably.
+  const std::vector<History> &RefHistories = *Outputs;
+  auto RefKeys = keyMultiset(RefHistories);
 
   // Completeness/soundness against the Def. 2.2 reference with
   // per-transaction commit tests: the mixed output set must equal the
@@ -593,7 +687,7 @@ void DifferentialOracle::checkMixedSemantics(
   // scratch equivalence, not the axiom semantics) and needs no
   // brute-force affordability cap — both sides are polynomial.
   if (Config.CrossCheckIncremental) {
-    for (const History &H : Ref.Histories) {
+    for (const History &H : RefHistories) {
       if (Out.size() >= 8)
         break;
       if (std::optional<Disagreement> D = diffIncremental(H, Resolved)) {
@@ -613,7 +707,7 @@ void DifferentialOracle::checkMixedSemantics(
   // this leg guards eviction and round-trip under per-session mixes).
   if (Config.DiffStreaming) {
     unsigned Streamed = 0;
-    for (const History &H : Ref.Histories) {
+    for (const History &H : RefHistories) {
       if (Out.size() >= 8)
         break;
       if (Config.MaxStreamedHistoriesPerCase &&
@@ -633,7 +727,7 @@ void DifferentialOracle::checkMixedSemantics(
 
   if (Config.CrossCheckVerdicts) {
     MixedSaturationChecker Production(Resolved);
-    for (const History &H : Ref.Histories) {
+    for (const History &H : RefHistories) {
       if (Out.size() >= 8)
         break;
       if (Config.MaxBruteForceTxns &&
@@ -666,13 +760,14 @@ void DifferentialOracle::checkMixedSemantics(
 }
 
 std::vector<Disagreement> DifferentialOracle::checkProgram(
-    const Program &P, const std::vector<IsolationLevel> &SessionLevels) const {
+    const Program &P, const std::vector<IsolationLevel> &SessionLevels,
+    uint64_t *SymmetryLegRuns) const {
   std::vector<Disagreement> Out;
 
   // Mixed-isolation semantics: run the explorers with the sampled mix as
   // a true per-session base assignment (not just a narrowed sweep).
   if (Config.DiffMixedSemantics && !SessionLevels.empty())
-    checkMixedSemantics(P, SessionLevels, Out);
+    checkMixedSemantics(P, SessionLevels, Out, SymmetryLegRuns);
 
   // A per-session isolation-level mix narrows the sweep: only the named
   // levels (causally-extensible ones as bases, all of them as verdict
@@ -699,178 +794,17 @@ std::vector<Disagreement> DifferentialOracle::checkProgram(
   for (IsolationLevel Base : Bases) {
     assert(isPrefixClosedCausallyExtensible(Base) &&
            "explore-ce base must be causally extensible");
-    ExplorerConfig Recursive = ExplorerConfig::exploreCE(Base);
-    // Abort oversized enumerations at the cap instead of paying for the
-    // full (possibly combinatorial) set only to discard it. Without a
-    // filter, outputs are exactly end states, so the cap is precise; the
-    // iterative/parallel legs inherit it but never trigger it (they only
-    // run when the recursive set stayed under the cap).
-    if (Config.MaxHistoriesPerCase)
-      Recursive.MaxEndStates = Config.MaxHistoriesPerCase + 1;
-    EnumerationResult Ref = enumerateHistories(P, Recursive);
-    if (Config.MaxHistoriesPerCase &&
-        (Ref.Stats.HitEndStateCap ||
-         Ref.Histories.size() > Config.MaxHistoriesPerCase))
-      continue; // This base is too large to diff affordably; later
-                // (stronger, smaller) bases still get checked, and an
-                // oversized CC set leaves CcOutputs empty, skipping the
-                // star/per-history phases.
-    auto RefKeys = keyMultiset(Ref.Histories);
-
-    if (Base == IsolationLevel::CausalConsistency)
-      CcOutputs = Ref.Histories;
-
-    if (Config.DiffExplorers) {
-      // Strong optimality: the recursive driver must not emit duplicates.
-      for (const auto &[Key, N] : RefKeys) {
-        if (N == 1)
-          continue;
-        Disagreement D;
-        D.K = Disagreement::Kind::DuplicateOutput;
-        D.Level = Base;
-        for (const History &H : Ref.Histories)
-          if (H.canonicalKey() == Key) {
-            D.Culprit = H;
-            break;
-          }
-        D.Detail = "recursive explorer emitted one history " +
-                   std::to_string(N) + " times under " +
-                   isolationLevelName(Base);
-        Out.push_back(std::move(D));
-        break; // One duplicate report per base is plenty.
-      }
-
-      ExplorerConfig Iterative = Recursive;
-      Iterative.Iterative = true;
-      auto IterKeys = keyMultiset(enumerateHistories(P, Iterative).Histories);
-      if (IterKeys != RefKeys) {
-        Disagreement D;
-        D.K = Disagreement::Kind::ExplorerSetMismatch;
-        D.Level = Base;
-        D.Detail = "iterative vs recursive under " +
-                   std::string(isolationLevelName(Base)) + ": " +
-                   diffSummary(IterKeys, RefKeys, "iterative", "recursive");
-        Out.push_back(std::move(D));
-      }
-
-      if (Config.Threads > 1) {
-        ExplorerConfig Par = Recursive;
-        Par.Threads = Config.Threads;
-        std::vector<History> ParHistories;
-        ParallelExplorer E(P, Par);
-        E.run([&](const History &H) { ParHistories.push_back(H); });
-        auto ParKeys = keyMultiset(ParHistories);
-        if (ParKeys != RefKeys) {
-          Disagreement D;
-          D.K = Disagreement::Kind::ExplorerSetMismatch;
-          D.Level = Base;
-          D.Detail = "parallel(" + std::to_string(Config.Threads) +
-                     ") vs recursive under " + isolationLevelName(Base) +
-                     ": " + diffSummary(ParKeys, RefKeys, "parallel",
-                                        "recursive");
-          Out.push_back(std::move(D));
-        }
-      }
-    }
-
-    if (Config.DiffDedup) {
-      // Exact mode has nothing to skip on a strongly-optimal run (no two
-      // WorkItems of one exploration are identical), so its output
-      // multiset must match the reference verbatim.
-      // Both dedup legs run with DedupVerifyCarried: every probe's O(Δ)
-      // carried fingerprint is re-derived from scratch and disagreements
-      // are counted — so this optimized fuzzing leg has the same teeth as
-      // the debug-build assert at the engine's probe site.
-      ExplorerConfig Exact = Recursive;
-      Exact.Dedup = DedupMode::Exact;
-      Exact.DedupVerifyCarried = true;
-      EnumerationResult ExactRes = enumerateHistories(P, Exact);
-      auto ExactKeys = keyMultiset(ExactRes.Histories);
-      if (ExactKeys != RefKeys) {
-        Disagreement D;
-        D.K = Disagreement::Kind::DedupVerdictMismatch;
-        D.Level = Base;
-        D.Detail = "dedup=exact vs dedup=off under " +
-                   std::string(isolationLevelName(Base)) + ": " +
-                   diffSummary(ExactKeys, RefKeys, "exact", "off");
-        Out.push_back(std::move(D));
-      }
-      if (ExactRes.Stats.DedupFpMismatches != 0) {
-        Disagreement D;
-        D.K = Disagreement::Kind::CarriedFingerprintMismatch;
-        D.Level = Base;
-        D.Detail = "dedup=exact under " +
-                   std::string(isolationLevelName(Base)) + ": " +
-                   std::to_string(ExactRes.Stats.DedupFpMismatches) +
-                   " carried fingerprints differ from the from-scratch "
-                   "fingerprint";
-        Out.push_back(std::move(D));
-      }
-
-      // Symmetry mode may drop renaming-isomorphic histories but must
-      // never invent one (sub-multiset of the reference) and must reach
-      // the same violation verdict at every swept level. Deliberately the
-      // unmutated production checkers on both sides (mirroring the
-      // incremental leg): this leg guards dedup itself, not the axioms.
-      ExplorerConfig Sym = Recursive;
-      Sym.Dedup = DedupMode::Symmetry;
-      Sym.DedupVerifyCarried = true;
-      EnumerationResult SymRes = enumerateHistories(P, Sym);
-      std::vector<History> SymHistories = std::move(SymRes.Histories);
-      if (SymRes.Stats.DedupFpMismatches != 0) {
-        Disagreement D;
-        D.K = Disagreement::Kind::CarriedFingerprintMismatch;
-        D.Level = Base;
-        D.Detail = "dedup=symmetry under " +
-                   std::string(isolationLevelName(Base)) + ": " +
-                   std::to_string(SymRes.Stats.DedupFpMismatches) +
-                   " carried fingerprints differ from the from-scratch "
-                   "fingerprint";
-        Out.push_back(std::move(D));
-      }
-      auto SymKeys = keyMultiset(SymHistories);
-      bool Included = true;
-      for (const auto &[Key, N] : SymKeys) {
-        auto It = RefKeys.find(Key);
-        if (It == RefKeys.end() || It->second < N) {
-          Included = false;
-          break;
-        }
-      }
-      if (!Included) {
-        Disagreement D;
-        D.K = Disagreement::Kind::DedupVerdictMismatch;
-        D.Level = Base;
-        D.Detail = "dedup=symmetry emitted histories outside the dedup=off "
-                   "set under " +
-                   std::string(isolationLevelName(Base)) + ": " +
-                   diffSummary(SymKeys, RefKeys, "symmetry", "off");
-        Out.push_back(std::move(D));
-      } else {
-        for (IsolationLevel L : Verdicts) {
-          auto HasViolation = [&](const std::vector<History> &Hs) {
-            for (const History &H : Hs)
-              if (!isConsistent(H, L))
-                return true;
-            return false;
-          };
-          bool RefViolates = HasViolation(Ref.Histories);
-          bool SymViolates = HasViolation(SymHistories);
-          if (RefViolates != SymViolates) {
-            Disagreement D;
-            D.K = Disagreement::Kind::DedupVerdictMismatch;
-            D.Level = L;
-            D.Detail =
-                "dedup=symmetry under " +
-                std::string(isolationLevelName(Base)) + " changes the " +
-                isolationLevelName(L) + " violation verdict (off: " +
-                (RefViolates ? "violating" : "clean") + ", symmetry: " +
-                (SymViolates ? "violating" : "clean") + ")";
-            Out.push_back(std::move(D));
-          }
-        }
-      }
-    }
+    Disagreement Proto;
+    Proto.Level = Base;
+    std::optional<std::vector<History>> Outputs =
+        diffExplorers(P, ExplorerConfig::exploreCE(Base),
+                      isolationLevelName(Base), Proto, Verdicts, Out,
+                      SymmetryLegRuns);
+    // An oversized base is skipped; later (stronger, smaller) bases still
+    // get checked, and an oversized CC set leaves CcOutputs empty,
+    // skipping the star/per-history phases.
+    if (Outputs && Base == IsolationLevel::CausalConsistency)
+      CcOutputs = std::move(*Outputs);
   }
 
   // explore-ce*(CC, I) versus the CC set re-filtered by the production

@@ -11,10 +11,12 @@
 ///
 /// For a *program* the oracle diffs, per base level,
 ///
-///   * the recursive, iterative (§7.1) and parallel explorers — identical
-///     canonical output-history multisets (soundness/completeness of each
-///     driver relative to the others) and no duplicates (strong
-///     optimality, Thm. 5.1);
+///   * the worklist (§7.1), recursive-reference and parallel explorers —
+///     identical output sequences resp. canonical multisets (soundness/
+///     completeness of each driver relative to the others) and no item
+///     expanded or history emitted twice (strong optimality, Thm. 5.1);
+///   * the session-symmetry dedup on a symmetrized copy of the program
+///     against the dedup-off run of that copy;
 ///   * explore-ce*(CC, I) against the explore-ce(CC) set re-filtered by
 ///     the production checker of I (Cor. 6.2 plumbing).
 ///
@@ -37,6 +39,7 @@
 #define TXDPOR_FUZZ_DIFFERENTIALORACLE_H
 
 #include "consistency/IsolationLevel.h"
+#include "core/ExplorerConfig.h"
 #include "history/History.h"
 #include "program/Program.h"
 #include "support/Deadline.h"
@@ -70,13 +73,21 @@ const char *checkerMutationName(CheckerMutation M);
 bool mutatedIsConsistent(const History &H, IsolationLevel Level,
                          CheckerMutation M);
 
+/// \p P (at least one session) with its last session's code replaced by a
+/// copy of session 0's, a program-declared level included: sessions 0 and
+/// N-1 then form a structural class, so the symmetry dedup has something
+/// to rename. The input of the oracle's symmetry leg.
+Program symmetrized(const Program &P);
+
 /// One observed disagreement between redundant implementations.
 struct Disagreement {
   enum class Kind : uint8_t {
-    /// The iterative or parallel explorer produced a different canonical
-    /// output multiset than the recursive explorer.
+    /// The recursive reference walk produced a different output sequence,
+    /// or the parallel explorer a different canonical output multiset,
+    /// than the worklist explorer.
     ExplorerSetMismatch,
-    /// An explorer emitted the same history twice (optimality breach).
+    /// An explorer expanded the same item or emitted the same history
+    /// twice (optimality breach).
     DuplicateOutput,
     /// explore-ce*(CC, I) disagrees with the re-filtered explore-ce(CC)
     /// set.
@@ -97,11 +108,9 @@ struct Disagreement {
     /// guards eviction soundness/completeness and the trace round-trip.
     StreamingVerdictMismatch,
     /// A dedup-enabled exploration broke its contract against the
-    /// dedup-off reference: exact mode must reproduce the output multiset
-    /// verbatim (optimal runs contain no duplicate items), symmetry mode
-    /// must emit a sub-multiset with identical per-level
-    /// violation-existence verdicts — the leg that guards the subtree
-    /// memoization of core/Dedup.h.
+    /// dedup-off reference: it must emit a sub-multiset with identical
+    /// per-level violation-existence verdicts — the leg that guards the
+    /// subtree memoization of core/Dedup.h.
     DedupVerdictMismatch,
     /// An O(Δ) swap-child rebuild (copy the cached prefix state, replay
     /// only the changed blocks) is not equivalentTo the bulk-constructed
@@ -146,6 +155,7 @@ struct OracleConfig {
       IsolationLevel::ReadCommitted, IsolationLevel::ReadAtomic,
       IsolationLevel::CausalConsistency, IsolationLevel::SnapshotIsolation,
       IsolationLevel::Serializability};
+  /// The optimality and driver legs, for uniform and mixed bases alike.
   bool DiffExplorers = true;
   bool DiffStarFilters = true;
   bool CrossCheckVerdicts = true;
@@ -159,8 +169,8 @@ struct OracleConfig {
   bool CrossCheckIncremental = true;
   /// Mixed-semantics legs for cases carrying a per-session level mix:
   /// run the explorers with the mix as the *base assignment* (per-session
-  /// ValidWrites), diff the three drivers, and cross-check every mixed
-  /// output's MixedSaturationChecker verdict against
+  /// ValidWrites), run the explorer legs under it, and cross-check every
+  /// mixed output's MixedSaturationChecker verdict against
   /// BruteForceChecker(assignment) — the Def. 2.2 reference with
   /// per-transaction commit tests. Sampled levels outside the
   /// causally-extensible chain are clamped to CC first (SI/SER cannot
@@ -174,11 +184,13 @@ struct OracleConfig {
   /// budget and skip the comparison; malformed rejections of a
   /// round-tripped trace always count as disagreements.
   bool DiffStreaming = true;
-  /// Re-run each in-budget base with --dedup=exact (multiset equality
-  /// with the reference — optimal runs have nothing to skip) and
-  /// --dedup=symmetry (sub-multiset plus per-level violation-existence
-  /// equality). Like CrossCheckIncremental, deliberately *not* subject to
-  /// Mutation: the leg guards the dedup/reference equivalence itself.
+  /// Per in-budget base, run a symmetrized copy of the program (last
+  /// session's code replaced by session 0's, so a two-session class
+  /// exists) with --dedup=symmetry under DedupVerifyCarried and diff it
+  /// against the dedup-off run of the copy (sub-multiset plus per-level
+  /// violation-existence equality). Like CrossCheckIncremental,
+  /// deliberately *not* subject to Mutation: the leg guards the
+  /// dedup/reference equivalence itself.
   bool DiffDedup = true;
   /// Window budgets of the streaming leg (0 = never evict).
   std::vector<unsigned> StreamingWindows = {0, 4, 8};
@@ -212,10 +224,12 @@ public:
 
   /// Cross-checks every implementation pair on \p P. A non-empty
   /// \p SessionLevels (a generated per-session isolation-level mix)
-  /// narrows the sweep to the levels it names.
+  /// narrows the sweep to the levels it names. \p SymmetryLegRuns, when
+  /// given, is bumped once per symmetry-dedup leg that probed its table.
   std::vector<Disagreement>
   checkProgram(const Program &P,
-               const std::vector<IsolationLevel> &SessionLevels = {}) const;
+               const std::vector<IsolationLevel> &SessionLevels = {},
+               uint64_t *SymmetryLegRuns = nullptr) const;
 
   /// Cross-checks the consistency checkers and witness machinery on one
   /// history.
@@ -230,7 +244,21 @@ private:
                        bool Stream = true) const;
   void checkMixedSemantics(const Program &P,
                            const std::vector<IsolationLevel> &SessionLevels,
-                           std::vector<Disagreement> &Out) const;
+                           std::vector<Disagreement> &Out,
+                           uint64_t *SymmetryLegRuns) const;
+  /// The explorer legs shared by the uniform and mixed sweeps, under
+  /// \p RefConfig (named \p Label in details; every disagreement copies
+  /// \p Proto's level fields): no repeated item or output, the recursive
+  /// and parallel driver diffs (DiffExplorers), and the symmetry-dedup
+  /// leg (DiffDedup) with violation verdicts at \p Verdicts. Returns the
+  /// reference outputs, or nothing when they exceed MaxHistoriesPerCase
+  /// (every leg is then skipped).
+  std::optional<std::vector<History>>
+  diffExplorers(const Program &P, ExplorerConfig RefConfig,
+                const std::string &Label, const Disagreement &Proto,
+                const std::vector<IsolationLevel> &Verdicts,
+                std::vector<Disagreement> &Out,
+                uint64_t *SymmetryLegRuns) const;
 
   OracleConfig Config;
 };

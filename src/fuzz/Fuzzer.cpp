@@ -98,8 +98,10 @@ FuzzReport txdpor::fuzz::runFuzz(const FuzzOptions &Options) {
       CaseProgram = generateCase(R, Shape);
       if (!Options.ForcedSessionLevels.empty())
         CaseProgram->SessionLevels = Options.ForcedSessionLevels;
-      Ds = Oracle.checkProgram(CaseProgram->Prog,
-                               CaseProgram->SessionLevels);
+      uint64_t SymmetryLegRuns = 0;
+      Ds = Oracle.checkProgram(CaseProgram->Prog, CaseProgram->SessionLevels,
+                               &SymmetryLegRuns);
+      Report.SymmetryLegCases += SymmetryLegRuns != 0;
     }
     if (Ds.empty())
       continue;

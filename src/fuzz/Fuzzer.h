@@ -74,6 +74,8 @@ struct FuzzReport {
   uint64_t Cases = 0;
   uint64_t ProgramCases = 0;
   uint64_t HistoryCases = 0;
+  /// Program cases whose symmetry-dedup oracle leg probed a table.
+  uint64_t SymmetryLegCases = 0;
   /// Cases on which the oracle reported at least one disagreement.
   uint64_t DisagreeingCases = 0;
   /// Minimized first disagreement of every disagreeing case.

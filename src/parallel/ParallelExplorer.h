@@ -48,7 +48,7 @@ namespace txdpor {
 
 /// One parallel exploration run over a program. Construct, then call
 /// run() once. With Config.Threads <= 1 this is exactly the sequential
-/// iterative explorer.
+/// Explorer (the same drainDepthFirst walk).
 class ParallelExplorer {
 public:
   ParallelExplorer(const Program &Prog, ExplorerConfig Config);

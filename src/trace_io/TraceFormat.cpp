@@ -160,7 +160,14 @@ std::optional<TransactionLog> trace_io::parseJsonlTxn(const std::string &Line,
         fail(Error, "malformed write op");
         return std::nullopt;
       }
-      Log.append(Event::makeWrite(Var, static_cast<Value>(E[2].asNumber())));
+      // JSON numbers are doubles: beyond 2^53 they no longer name one
+      // integer, and a fraction or an infinity has no Value at all.
+      double Val = E[2].asNumber();
+      if (!(std::fabs(Val) <= 9007199254740992.0) || Val != std::floor(Val)) {
+        fail(Error, "write value must be an integer in [-2^53, 2^53]");
+        return std::nullopt;
+      }
+      Log.append(Event::makeWrite(Var, static_cast<Value>(Val)));
     } else if (Code == "r") {
       if ((E.size() != 2 && E.size() != 3) ||
           !asUnsigned(E[1], uint64_t(1) << 32, Var, Error, "read var")) {

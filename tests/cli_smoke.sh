@@ -67,14 +67,15 @@ expect_reject "expects a non-negative integer" fuzz --seed=-1
 expect_reject "must be non-negative" fuzz --time-budget=-9
 expect_reject "up to 100" fuzz --history-percent=101
 
-# Dedup flag: bad modes are rejected, the baseline-explorer combinations
-# are refused (dedup lives in the swapping engine), good forms accepted.
-expect_reject "must be one of off, exact, symmetry" --dedup=bogus
+# Dedup flag: bad modes (including the removed exact mode) are rejected,
+# the baseline-explorer combinations are refused (dedup lives in the
+# swapping engine), good forms accepted.
+expect_reject "must be one of off, symmetry" --dedup=bogus
+expect_reject "must be one of off, symmetry" --dedup=exact --sessions 2
 expect_reject "needs the swapping explorer" --dedup --dfs --sessions 2
-expect_reject "needs the swapping explorer" --dedup=exact --walks 8 \
+expect_reject "needs the swapping explorer" --dedup=symmetry --walks 8 \
   --sessions 2
 expect_accept --app identical --sessions 2 --txns 1 --dedup
-expect_accept --app identical --sessions 2 --txns 1 --dedup=exact
 expect_accept --app identical --sessions 2 --txns 1 --dedup=symmetry
 expect_accept --app identical --sessions 2 --txns 1 --dedup=off --dfs
 
@@ -157,6 +158,9 @@ expect_exit 1 check-trace "$traces/malformed/truncated.jsonl"
 expect_exit 1 check-trace "$traces/malformed/unknown_session.jsonl"
 expect_exit 1 check-trace "$traces/malformed/unknown_writer.jsonl"
 expect_exit 1 check-trace "$traces/malformed/duplicate_commit.jsonl"
+expect_exit 1 check-trace "$traces/malformed/write_value_overflow.jsonl"
+expect_exit 1 check-trace "$traces/malformed/write_value_fraction.jsonl"
+expect_exit 1 check-trace "$traces/malformed/write_value_int64.jsonl"
 
 # gen-trace pipes into check-trace: clean stays clean under a small
 # window, an injected anomaly exits 2, and the --repro trace is itself

@@ -384,11 +384,15 @@ TEST(MixedExplorerTest, ThreadCountInvariantUnderMixedBase) {
                             {IsolationLevel::CausalConsistency,
                              IsolationLevel::ReadCommitted});
   ExplorerConfig Base = ExplorerConfig::exploreCEMixed(Mix);
-  auto Reference = countByCanonicalKey(explore(P, Base));
+  std::vector<History> Worklist = explore(P, Base);
+  auto Reference = countByCanonicalKey(Worklist);
 
-  ExplorerConfig Iterative = Base;
-  Iterative.Iterative = true;
-  EXPECT_EQ(Reference, countByCanonicalKey(explore(P, Iterative)));
+  // The recursive reference walk pins the worklist's visit order.
+  std::vector<History> Recursive = enumerateRecursively(P, Base).Histories;
+  ASSERT_EQ(Recursive.size(), Worklist.size());
+  for (size_t I = 0; I != Worklist.size(); ++I)
+    EXPECT_EQ(Recursive[I].canonicalKey(), Worklist[I].canonicalKey())
+        << "output " << I;
 
   for (unsigned Threads : {1u, 2u, 4u}) {
     ExplorerConfig Par = Base;

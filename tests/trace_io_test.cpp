@@ -136,11 +136,25 @@ TEST(TraceRejectionTest, MalformedJsonlRecords) {
       "{\"s\":0,\"i\":0,\"ops\":[[\"w\",0,1]],\"st\":\"q\"}",
       // Wrong type for a variable id.
       "{\"s\":0,\"i\":0,\"ops\":[[\"w\",\"zero\",1]],\"st\":\"c\"}",
+      // Write values a Value cannot hold: overflow to infinity, a
+      // fraction, and an integer beyond 2^53 that a double rounds.
+      "{\"s\":0,\"i\":0,\"ops\":[[\"w\",0,1e400]],\"st\":\"c\"}",
+      "{\"s\":0,\"i\":0,\"ops\":[[\"w\",0,2.5]],\"st\":\"c\"}",
+      "{\"s\":0,\"i\":0,\"ops\":[[\"w\",0,9223372036854775807]],"
+      "\"st\":\"c\"}",
   };
   for (const char *Record : Records) {
     std::string Error;
     EXPECT_FALSE(parseJsonlTxn(Record, &Error).has_value()) << Record;
     EXPECT_FALSE(Error.empty()) << Record;
+  }
+  // The largest exactly representable magnitudes still parse.
+  for (const char *V : {"9007199254740992", "-9007199254740992"}) {
+    std::string Record = std::string("{\"s\":0,\"i\":0,\"ops\":[[\"w\",0,") +
+                         V + "]],\"st\":\"c\"}";
+    std::optional<TransactionLog> Log = parseJsonlTxn(Record, nullptr);
+    ASSERT_TRUE(Log.has_value()) << Record;
+    EXPECT_EQ(std::to_string(Log->event(1).Val), V);
   }
 }
 
@@ -149,8 +163,10 @@ TEST(TraceRejectionTest, MalformedCorpusIsRefusedWithDiagnostics) {
   // CLI drives; every corpus file must end Malformed, never Ok or a
   // crash, with a diagnostic naming the problem.
   const char *Files[] = {
-      "truncated.jsonl",     "unknown_session.jsonl", "unknown_writer.jsonl",
-      "duplicate_commit.jsonl", "out_of_order.jsonl",
+      "truncated.jsonl",         "unknown_session.jsonl",
+      "unknown_writer.jsonl",    "duplicate_commit.jsonl",
+      "out_of_order.jsonl",      "write_value_overflow.jsonl",
+      "write_value_fraction.jsonl", "write_value_int64.jsonl",
   };
   for (const char *Name : Files) {
     std::ifstream In(malformedPath(Name));

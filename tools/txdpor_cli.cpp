@@ -68,7 +68,8 @@ struct CliOptions {
   std::optional<IsolationLevel> Classify;
   bool UseDfs = false;
   std::optional<uint64_t> Walks;
-  DedupMode Dedup = DedupMode::Off;
+  /// --dedup / --dedup=symmetry (session-symmetry subtree dedup).
+  bool Dedup = false;
   /// --dedup-max-entries: memo-table bound (0 = unbounded, the default).
   uint64_t DedupMaxEntries = 0;
   int64_t BudgetMs = 30000;
@@ -193,10 +194,11 @@ void printUsage() {
       "                      first violation\n"
       "  --dfs               run the no-POR DFS baseline instead\n"
       "  --walks N           run N random-walk samples instead\n"
-      "  --dedup[=MODE]      subtree dedup: off|exact|symmetry (default\n"
-      "                      off; bare --dedup means symmetry). exact\n"
-      "                      skips repeated WorkItems, symmetry also\n"
-      "                      collapses session-renaming-isomorphic ones\n"
+      "  --dedup[=MODE]      subtree dedup: off|symmetry (default off;\n"
+      "                      bare --dedup means symmetry). Collapses\n"
+      "                      session-renaming-isomorphic subtrees; a\n"
+      "                      program with no two identical sessions\n"
+      "                      runs undeduplicated (0 checked)\n"
       "  --dedup-max-entries N\n"
       "                      cap the dedup memo table at ~N fingerprints\n"
       "                      with CLOCK eviction (default 0 = unbounded;\n"
@@ -458,17 +460,12 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
         return false;
       Options.Walks = W;
     } else if (R.is("--dedup")) {
-      if (!R.inlineValue()) {
-        Options.Dedup = DedupMode::Symmetry;
+      if (!R.inlineValue() || *R.inlineValue() == "symmetry") {
+        Options.Dedup = true;
       } else if (*R.inlineValue() == "off") {
-        Options.Dedup = DedupMode::Off;
-      } else if (*R.inlineValue() == "exact") {
-        Options.Dedup = DedupMode::Exact;
-      } else if (*R.inlineValue() == "symmetry") {
-        Options.Dedup = DedupMode::Symmetry;
+        Options.Dedup = false;
       } else {
-        std::cerr << "error: --dedup must be one of off, exact, symmetry "
-                     "(got '"
+        std::cerr << "error: --dedup must be one of off, symmetry (got '"
                   << *R.inlineValue() << "')\n";
         return false;
       }
@@ -699,7 +696,8 @@ int fuzzMain(int Argc, char **Argv) {
 
   std::cout << "fuzz: " << Report.Cases << " cases ("
             << Report.ProgramCases << " programs, " << Report.HistoryCases
-            << " histories), " << Report.DisagreeingCases
+            << " histories; symmetry leg on " << Report.SymmetryLegCases
+            << "), " << Report.DisagreeingCases
             << " disagreements, " << Report.ElapsedMillis << " ms"
             << (Report.TimedOut ? " (timed out)" : "") << '\n';
   for (const std::string &File : Report.ReproFiles)
@@ -1155,13 +1153,12 @@ int main(int Argc, char **Argv) {
                  "(drop --dfs/--walks)\n";
     return 1;
   }
-  if (Options.Dedup != DedupMode::Off &&
-      (Options.UseDfs || Options.Walks)) {
+  if (Options.Dedup && (Options.UseDfs || Options.Walks)) {
     std::cerr << "error: --dedup needs the swapping explorer "
                  "(drop --dfs/--walks)\n";
     return 1;
   }
-  if (Options.DedupMaxEntries != 0 && Options.Dedup == DedupMode::Off) {
+  if (Options.DedupMaxEntries != 0 && !Options.Dedup) {
     std::cerr << "error: --dedup-max-entries requires --dedup\n";
     return 1;
   }
@@ -1317,11 +1314,9 @@ int main(int Argc, char **Argv) {
               << Stats.StealSuccesses << " steals ("
               << Stats.StealFailures << " failed sweeps), "
               << Stats.IdleParks << " idle parks\n";
-  if (Options.Dedup != DedupMode::Off) {
-    std::cout << "dedup ("
-              << (Options.Dedup == DedupMode::Exact ? "exact" : "symmetry")
-              << "): " << Stats.DedupSkips << " subtrees skipped of "
-              << Stats.DedupChecks << " checked";
+  if (Options.Dedup) {
+    std::cout << "dedup (symmetry): " << Stats.DedupSkips
+              << " subtrees skipped of " << Stats.DedupChecks << " checked";
     if (Options.DedupMaxEntries != 0)
       std::cout << ", " << Stats.DedupEvictions << " evictions (cap "
                 << Options.DedupMaxEntries << ")";
