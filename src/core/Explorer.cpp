@@ -50,7 +50,6 @@ void ExplorerStats::merge(const ExplorerStats &Other) {
   // never per worker — take the max so merging worker stats (all zero)
   // into the sampled aggregate cannot double-count.
   DedupEvictions = std::max(DedupEvictions, Other.DedupEvictions);
-  DedupFpMismatches += Other.DedupFpMismatches;
   TimedOut = TimedOut || Other.TimedOut;
   HitEndStateCap = HitEndStateCap || Other.HitEndStateCap;
   ElapsedMillis += Other.ElapsedMillis;

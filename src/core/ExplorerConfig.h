@@ -124,14 +124,6 @@ struct ExplorerConfig {
   /// is re-explored (and re-skippable later), never wrongly skipped.
   uint64_t DedupMaxEntries = 0;
 
-  /// Release-mode cross-check of the carried fingerprint: re-derive every
-  /// probed fingerprint from scratch and count disagreements into
-  /// ExplorerStats::DedupFpMismatches instead of skipping silently wrong.
-  /// Debug builds always assert this; the flag lets the
-  /// DifferentialOracle's DiffDedup leg verify it in optimized fuzzing
-  /// runs too.
-  bool DedupVerifyCarried = false;
-
   /// Returns the paper's name for this configuration, e.g. "CC",
   /// "CC + SER", "true + CC".
   std::string algorithmName() const;
@@ -186,10 +178,6 @@ struct ExplorerStats {
   uint64_t DedupSkips = 0;
   /// CLOCK victims evicted from a bounded dedup table (0 when unbounded).
   uint64_t DedupEvictions = 0;
-  /// Carried-vs-scratch fingerprint disagreements seen under
-  /// ExplorerConfig::DedupVerifyCarried (must stay 0; counted rather than
-  /// asserted so optimized differential fuzzing can report them).
-  uint64_t DedupFpMismatches = 0;
   bool TimedOut = false;
   bool HitEndStateCap = false;
   double ElapsedMillis = 0;

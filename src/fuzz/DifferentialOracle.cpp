@@ -89,8 +89,6 @@ const char *txdpor::fuzz::disagreementKindName(Disagreement::Kind K) {
     return "dedup-verdict-mismatch";
   case Disagreement::Kind::IncrementalSwapStateMismatch:
     return "incremental-swap-state-mismatch";
-  case Disagreement::Kind::CarriedFingerprintMismatch:
-    return "carried-fingerprint-mismatch";
   }
   return "unknown";
 }
@@ -106,8 +104,7 @@ txdpor::fuzz::disagreementKindByName(const std::string &Name) {
         Disagreement::Kind::IncrementalVerdictMismatch,
         Disagreement::Kind::StreamingVerdictMismatch,
         Disagreement::Kind::DedupVerdictMismatch,
-        Disagreement::Kind::IncrementalSwapStateMismatch,
-        Disagreement::Kind::CarriedFingerprintMismatch})
+        Disagreement::Kind::IncrementalSwapStateMismatch})
     if (Name == disagreementKindName(K))
       return K;
   return std::nullopt;
@@ -551,10 +548,8 @@ std::optional<std::vector<History>> DifferentialOracle::diffExplorers(
   // program builds no table, so the leg would check nothing): it may drop
   // renaming-isomorphic histories but must never invent one
   // (sub-multiset of the dedup-off run) and must reach the same violation
-  // verdict at every level in \p Verdicts. DedupVerifyCarried re-derives
-  // every probe's O(Δ) carried fingerprint from scratch, giving this
-  // optimized leg the teeth of the engine's debug assert. Deliberately the
-  // unmutated production checkers: the leg guards dedup, not the axioms.
+  // verdict at every level in \p Verdicts. Deliberately the unmutated
+  // production checkers: the leg guards dedup, not the axioms.
   if (Config.DiffDedup && P.numSessions() > 1) {
     Program SymP = symmetrized(P);
     ExplorerConfig Off = RefConfig;
@@ -564,16 +559,9 @@ std::optional<std::vector<History>> DifferentialOracle::diffExplorers(
     if (!Oversized(SymRef)) {
       ExplorerConfig On = Off;
       On.Dedup = true;
-      On.DedupVerifyCarried = true;
       EnumerationResult SymRes = enumerateHistories(SymP, On);
       if (SymmetryLegRuns && SymRes.Stats.DedupChecks != 0)
         ++*SymmetryLegRuns;
-      if (SymRes.Stats.DedupFpMismatches != 0)
-        Report(Disagreement::Kind::CarriedFingerprintMismatch,
-               "dedup=symmetry under " + Label + ": " +
-                   std::to_string(SymRes.Stats.DedupFpMismatches) +
-                   " carried fingerprints differ from the from-scratch "
-                   "fingerprint");
       auto OffKeys = keyMultiset(SymRef.Histories);
       auto SymKeys = keyMultiset(SymRes.Histories);
       bool Included = true;

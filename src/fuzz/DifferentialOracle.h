@@ -117,11 +117,6 @@ struct Disagreement {
     /// ConstraintState of the same swapped history — the leg that guards
     /// the engine's incremental fan-out rebuild.
     IncrementalSwapStateMismatch,
-    /// A dedup-enabled exploration run under DedupVerifyCarried observed
-    /// carried-fingerprint/from-scratch disagreements
-    /// (ExplorerStats::DedupFpMismatches != 0) — the leg that guards the
-    /// O(Δ) fingerprint maintenance of core/Dedup.h in optimized builds.
-    CarriedFingerprintMismatch,
   };
 
   Kind K = Kind::CheckerVerdictMismatch;
@@ -186,11 +181,10 @@ struct OracleConfig {
   bool DiffStreaming = true;
   /// Per in-budget base, run a symmetrized copy of the program (last
   /// session's code replaced by session 0's, so a two-session class
-  /// exists) with --dedup=symmetry under DedupVerifyCarried and diff it
-  /// against the dedup-off run of the copy (sub-multiset plus per-level
-  /// violation-existence equality). Like CrossCheckIncremental,
-  /// deliberately *not* subject to Mutation: the leg guards the
-  /// dedup/reference equivalence itself.
+  /// exists) with --dedup=symmetry and diff it against the dedup-off run
+  /// of the copy (sub-multiset plus per-level violation-existence
+  /// equality). Like CrossCheckIncremental, deliberately *not* subject to
+  /// Mutation: the leg guards the dedup/reference equivalence itself.
   bool DiffDedup = true;
   /// Window budgets of the streaming leg (0 = never evict).
   std::vector<unsigned> StreamingWindows = {0, 4, 8};

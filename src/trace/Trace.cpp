@@ -11,6 +11,7 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <string>
 
 using namespace txdpor;
 using namespace txdpor::trace;
@@ -78,18 +79,24 @@ struct Registry {
   }
 };
 
+/// The calling thread's registered buffer; null until its first record.
+thread_local ThreadBuffer *LocalBuf = nullptr;
+/// The calling thread's setThreadName() name, copied into its buffer when
+/// that registers — so naming a thread that never records costs no ring.
+thread_local std::string LocalName;
+
 /// The calling thread's buffer, created and registered on first use.
 ThreadBuffer &localBuffer() {
-  thread_local ThreadBuffer *TL = nullptr;
-  if (!TL) {
+  if (!LocalBuf) {
     Registry &R = Registry::get();
     std::lock_guard<std::mutex> Lock(R.Mu);
     auto Buf = std::make_shared<ThreadBuffer>(
         static_cast<uint32_t>(R.Buffers.size() + 1), R.Capacity);
+    Buf->ThreadName = LocalName;
     R.Buffers.push_back(Buf);
-    TL = Buf.get();
+    LocalBuf = Buf.get();
   }
-  return *TL;
+  return *LocalBuf;
 }
 
 } // namespace
@@ -249,10 +256,12 @@ void txdpor::trace::emitCounterSample(Category C, Name N, uint64_t Value) {
 }
 
 void txdpor::trace::setThreadName(const std::string &ThreadName) {
-  ThreadBuffer &Buf = localBuffer();
+  LocalName = ThreadName;
+  if (!LocalBuf)
+    return;
   Registry &R = Registry::get();
   std::lock_guard<std::mutex> Lock(R.Mu);
-  Buf.ThreadName = ThreadName;
+  LocalBuf->ThreadName = ThreadName;
 }
 
 size_t Snapshot::totalRecords() const {

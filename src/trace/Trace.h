@@ -164,7 +164,8 @@ void emitInstant(Category C, Name N, uint64_t Arg0 = 0, uint64_t Arg1 = 0);
 void emitCounterSample(Category C, Name N, uint64_t Value);
 
 /// Names the calling thread in trace dumps ("worker-3"); safe to call
-/// whether or not tracing is enabled.
+/// whether or not tracing is enabled. Registers no buffer: a thread that
+/// never records (every thread of an untraced run) costs no ring.
 void setThreadName(const std::string &ThreadName);
 
 /// All records of one thread's buffer at snapshot time.

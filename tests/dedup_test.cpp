@@ -225,14 +225,41 @@ bool hasViolation(const std::vector<History> &Hs, IsolationLevel L) {
 
 // The verdict grid of the oracle leg, run deterministically: symmetry
 // emits a sub-multiset with identical per-level violation verdicts, on
-// the symmetric workload the reduction strictly bites, and on the
-// asymmetric one no table is built.
+// the symmetric workload the reduction strictly bites, on the asymmetric
+// one no table is built, and on partly symmetric programs (uniform and
+// mixed bases) the table is built and probed.
 TEST(DedupEquivalenceTest, VerdictGridMatchesReference) {
   const IsolationLevel Verdicts[] = {
       IsolationLevel::ReadCommitted, IsolationLevel::CausalConsistency,
       IsolationLevel::SnapshotIsolation, IsolationLevel::Serializability};
-  for (AppKind App : {AppKind::IdenticalSessions, AppKind::Courseware}) {
-    for (uint64_t Seed = 1; Seed != 3; ++Seed) {
+  // Runs \p P with and without dedup under \p Off and checks the
+  // sub-multiset and verdict contract; returns the dedup run.
+  auto CheckAgainstReference = [&](const std::string &Label,
+                                   const Program &P,
+                                   const ExplorerConfig &Off,
+                                   EnumerationResult &Ref) {
+    Ref = enumerateHistories(P, Off);
+    auto RefKeys = countByCanonicalKey(Ref.Histories);
+
+    ExplorerConfig SymCfg = Off;
+    SymCfg.Dedup = true;
+    EnumerationResult Sym = enumerateHistories(P, SymCfg);
+    for (const auto &[Key, N] : countByCanonicalKey(Sym.Histories)) {
+      auto It = RefKeys.find(Key);
+      EXPECT_TRUE(It != RefKeys.end() && It->second >= N)
+          << Label << ": symmetry emitted a history outside the reference "
+          << "set";
+    }
+    for (IsolationLevel L : Verdicts)
+      EXPECT_EQ(hasViolation(Sym.Histories, L),
+                hasViolation(Ref.Histories, L))
+          << Label << ": verdict at " << isolationLevelName(L)
+          << " diverged";
+    return Sym;
+  };
+
+  for (uint64_t Seed = 1; Seed != 3; ++Seed) {
+    for (AppKind App : {AppKind::IdenticalSessions, AppKind::Courseware}) {
       for (IsolationLevel Base : {IsolationLevel::ReadCommitted,
                                   IsolationLevel::CausalConsistency}) {
         ClientSpec Spec;
@@ -240,80 +267,44 @@ TEST(DedupEquivalenceTest, VerdictGridMatchesReference) {
         Spec.TxnsPerSession = 2;
         Spec.Seed = Seed;
         Program P = makeClientProgram(App, Spec);
-
-        ExplorerConfig Off = ExplorerConfig::exploreCE(Base);
-        EnumerationResult Ref = enumerateHistories(P, Off);
-        auto RefKeys = countByCanonicalKey(Ref.Histories);
-
-        ExplorerConfig SymCfg = Off;
-        SymCfg.Dedup = true;
-        EnumerationResult Sym = enumerateHistories(P, SymCfg);
-        auto SymKeys = countByCanonicalKey(Sym.Histories);
-        for (const auto &[Key, N] : SymKeys) {
-          auto It = RefKeys.find(Key);
-          ASSERT_TRUE(It != RefKeys.end() && It->second >= N)
-              << appName(App) << " seed " << Seed
-              << ": symmetry emitted a history outside the reference set";
-        }
-        for (IsolationLevel L : Verdicts)
-          EXPECT_EQ(hasViolation(Sym.Histories, L),
-                    hasViolation(Ref.Histories, L))
-              << appName(App) << " seed " << Seed << ": verdict at "
-              << isolationLevelName(L) << " diverged";
+        std::string Label = std::string(appName(App)) + " seed " +
+                            std::to_string(Seed) + " base " +
+                            isolationLevelName(Base);
+        EnumerationResult Ref;
+        EnumerationResult Sym = CheckAgainstReference(
+            Label, P, ExplorerConfig::exploreCE(Base), Ref);
 
         if (App == AppKind::IdenticalSessions) {
           EXPECT_LT(Sym.Histories.size(), Ref.Histories.size())
-              << "seed " << Seed
-              << ": symmetry failed to bite on the symmetric workload";
-          EXPECT_GT(Sym.Stats.DedupSkips, 0u);
+              << Label << ": symmetry failed to bite on the symmetric "
+              << "workload";
+          EXPECT_GT(Sym.Stats.DedupSkips, 0u) << Label;
         } else {
           // Structurally distinct sessions: every session is its own
           // class, so no table is built and nothing changes.
-          EXPECT_EQ(Sym.Stats.DedupChecks, 0u);
-          EXPECT_EQ(countByCanonicalKey(Sym.Histories), RefKeys)
-              << appName(App) << " seed " << Seed
-              << ": symmetry perturbed an asymmetric workload";
+          EXPECT_EQ(Sym.Stats.DedupChecks, 0u) << Label;
+          EXPECT_EQ(countByCanonicalKey(Sym.Histories),
+                    countByCanonicalKey(Ref.Histories))
+              << Label << ": symmetry perturbed an asymmetric workload";
         }
       }
     }
-  }
-}
 
-// The carried O(Δ) fingerprint must equal the from-scratch fingerprint at
-// every probe the engine performs — across extension, read-branch,
-// commit and swap children (swap children re-derive from the history),
-// uniform and mixed bases, on fully and partly symmetric programs.
-// DedupVerifyCarried recomputes every probe from scratch and counts
-// disagreements, so a single drift anywhere in the maintenance fails the
-// run.
-TEST(DedupCarriedFingerprintTest, CarriedEqualsScratchAtEveryProbe) {
-  for (uint64_t Seed = 1; Seed != 3; ++Seed) {
-    for (const Program &P :
-         {identicalProgram(3, 2, Seed), partlySymmetricProgram(Seed)}) {
-      ExplorerConfig Cfg =
-          ExplorerConfig::exploreCE(IsolationLevel::CausalConsistency);
-      Cfg.Dedup = true;
-      Cfg.DedupVerifyCarried = true;
-      EnumerationResult Run = enumerateHistories(P, Cfg);
-      EXPECT_GT(Run.Stats.DedupChecks, 0u);
-      EXPECT_EQ(Run.Stats.DedupFpMismatches, 0u)
-          << "seed " << Seed << ": carried fingerprint drifted from the "
-          << "from-scratch fingerprint\n"
-          << P.str();
-      // A mixed base partitions sessions into different structural
-      // classes; the carried canonicalization must track that (sessions
-      // 0 and 2 still share one).
-      LevelAssignment Mix(IsolationLevel::CausalConsistency);
-      Mix.set(1, IsolationLevel::ReadCommitted);
-      ExplorerConfig MixCfg = ExplorerConfig::exploreCEMixed(Mix);
-      MixCfg.Dedup = true;
-      MixCfg.DedupVerifyCarried = true;
-      Run = enumerateHistories(P, MixCfg);
-      EXPECT_GT(Run.Stats.DedupChecks, 0u);
-      EXPECT_EQ(Run.Stats.DedupFpMismatches, 0u)
-          << "seed " << Seed
-          << ": carried fingerprint drifted under a mixed base\n"
-          << P.str();
+    // One two-session class next to a singleton, under a uniform base and
+    // under a mix that makes the singleton weaker (sessions 0 and 2 still
+    // share a class): the table is built and every probe goes through
+    // the renaming.
+    Program P = partlySymmetricProgram(Seed);
+    LevelAssignment Mix(IsolationLevel::CausalConsistency);
+    Mix.set(1, IsolationLevel::ReadCommitted);
+    for (const ExplorerConfig &Off :
+         {ExplorerConfig::exploreCE(IsolationLevel::CausalConsistency),
+          ExplorerConfig::exploreCEMixed(Mix)}) {
+      std::string Label = "partly symmetric seed " + std::to_string(Seed) +
+                          " base " + Off.algorithmName();
+      EnumerationResult Ref;
+      EnumerationResult Sym = CheckAgainstReference(Label, P, Off, Ref);
+      EXPECT_GT(Sym.Stats.DedupChecks, 0u) << Label;
     }
   }
 }
@@ -366,9 +357,7 @@ TEST(DedupEvictionTest, BoundedTableOnlyReExplores) {
   for (uint64_t Cap : {8u, 64u, 4096u}) {
     ExplorerConfig Bounded = Sym;
     Bounded.DedupMaxEntries = Cap;
-    Bounded.DedupVerifyCarried = true;
     EnumerationResult Run = enumerateHistories(P, Bounded);
-    EXPECT_EQ(Run.Stats.DedupFpMismatches, 0u);
     // Forgetting can only grow the output back toward the reference.
     EXPECT_GE(Run.Histories.size(), Unbounded.Histories.size())
         << "cap " << Cap;

@@ -351,9 +351,10 @@ TEST(IncrementalEquivalence, StateCapacityGrowsWithinMaxTxns) {
     // stale writer past it violates RA (its write is in the premise).
     unsigned Latest = Idx - 1;
     ASSERT_TRUE(St.readAdmits(Latest, X));
-    if (Latest != 0)
+    if (Latest != 0) {
       EXPECT_FALSE(St.readAdmits(0, X))
           << "stale init read must violate RA once the session wrote";
+    }
     H.setWriter(Idx, 1, H.txn(Latest).uid());
     St.applyExternalRead(Latest, X);
     H.appendEvent(Idx, Event::makeWrite(X, T + 1));

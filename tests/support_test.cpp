@@ -151,16 +151,18 @@ TEST_P(RelationPropertyTest, ClosureIsIdempotentAndExtensive) {
     // Extensive: closure contains the base relation.
     for (unsigned A = 0; A != N; ++A)
       for (unsigned B = 0; B != N; ++B)
-        if (R.get(A, B))
+        if (R.get(A, B)) {
           EXPECT_TRUE(C.get(A, B));
+        }
     // Idempotent.
     EXPECT_EQ(C.transitiveClosure(), C);
     // Transitive: C ∘ C ⊆ C.
     Relation CC = C.composeWith(C);
     for (unsigned A = 0; A != N; ++A)
       for (unsigned B = 0; B != N; ++B)
-        if (CC.get(A, B))
+        if (CC.get(A, B)) {
           EXPECT_TRUE(C.get(A, B));
+        }
   }
 }
 
@@ -195,8 +197,9 @@ TEST_P(RelationPropertyTest, TopologicalOrderIffAcyclic) {
         Pos[Order[I]] = I;
       for (unsigned A = 0; A != N; ++A)
         for (unsigned B = 0; B != N; ++B)
-          if (R.get(A, B))
+          if (R.get(A, B)) {
             EXPECT_LT(Pos[A], Pos[B]);
+          }
     }
   }
 }

@@ -11,10 +11,13 @@
 /// nothing; non-consuming snapshots may run concurrently with emitting
 /// worker threads (the TSan target of this file); the Chrome trace-event
 /// dump is valid JSON (parsed back with support/Json's reader) with the
-/// expected phases; and the process-wide counters bump and reset.
+/// expected phases; the process-wide counters bump and reset; and an
+/// untraced parallel run registers no ring buffers.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "apps/Applications.h"
+#include "parallel/ParallelExplorer.h"
 #include "trace/ChromeTrace.h"
 #include "trace/Counters.h"
 #include "trace/Trace.h"
@@ -22,6 +25,7 @@
 #include "support/Json.h"
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -203,6 +207,39 @@ TEST_F(TraceTest, ConcurrentEmittersWithLiveSnapshots) {
     if (TR.ThreadName.rfind("emitter-", 0) == 0)
       ++Named;
   EXPECT_EQ(Named, NumThreads);
+}
+
+// Every parallel worker names itself. An untraced run must still
+// register no rings: each ring is 65,536 records and lives for the rest
+// of the process, so a fuzz campaign of parallel cases used to grow by
+// four rings per case. A traced run keeps its worker-N lanes.
+TEST_F(TraceTest, UntracedParallelRunsRegisterNoRings) {
+  trace::stop();
+  ClientSpec Spec;
+  Spec.Sessions = 3;
+  Spec.TxnsPerSession = 2;
+  Spec.Seed = 1;
+  Program P = makeClientProgram(AppKind::Tpcc, Spec);
+  ExplorerConfig Config =
+      ExplorerConfig::exploreCE(IsolationLevel::CausalConsistency);
+  Config.Threads = 4;
+  size_t Before = trace::snapshot().Threads.size();
+  for (unsigned Run = 0; Run != 3; ++Run) {
+    ParallelExplorer E(P, Config);
+    EXPECT_GT(E.run().EndStates, 0u);
+    EXPECT_EQ(trace::snapshot().Threads.size(), Before)
+        << "untraced run " << Run << " registered a ring";
+  }
+
+  trace::start(trace::AllCategories, /*CapacityPerThread=*/64);
+  ParallelExplorer E(P, Config);
+  E.run();
+  trace::stop();
+  std::set<std::string> Workers;
+  for (const trace::ThreadRecords &T : trace::snapshot().Threads)
+    if (T.ThreadName.rfind("worker-", 0) == 0 && !T.Records.empty())
+      Workers.insert(T.ThreadName);
+  EXPECT_EQ(Workers.size(), 4u);
 }
 
 TEST_F(TraceTest, ParseCategoriesSpecs) {

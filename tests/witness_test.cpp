@@ -93,10 +93,11 @@ TEST(WitnessTest, AgreesWithCheckerOnRandomHistories) {
       EXPECT_EQ(Order.has_value(), isConsistent(H, Level))
           << isolationLevelName(Level) << "\n"
           << H.str();
-      if (Order)
+      if (Order) {
         EXPECT_TRUE(validateCommitOrder(H, Level, *Order))
             << isolationLevelName(Level) << "\n"
             << H.str();
+      }
     }
   }
 }
