@@ -142,8 +142,10 @@ void ExplorationEngine::reachedEndState(const History &H,
   assert(!H.pendingTxn() && "end state with a pending transaction");
   bool Valid = true;
   if (Filter) {
+    TXDPOR_TRACE_SPAN_NAMED(FilterSpan, Check, Filter, H.numTxns());
     ++S.Stats.ConsistencyChecks;
     Valid = Filter->isConsistent(H);
+    FilterSpan.setArgs(H.numTxns(), Valid);
   }
   if (Valid) {
     ++S.Stats.Outputs;
@@ -324,8 +326,20 @@ void ExplorationEngine::expandItem(WorkItem Item, std::vector<WorkItem> &Out,
     // re-runs its reads through the incremental appliers; the state then
     // doubles as the Optimality consistency check and is handed to the
     // child, which probes its next read against it directly.
+    // The fan-out reads causality from the closure the carried state
+    // already holds for H, instead of rebuilding (so ∪ wr)+ from the logs.
     std::vector<WorkItem> SwapChildren;
-    std::vector<Reordering> Reorderings = computeReorderings(H);
+    CausalOrder Causal(CState);
+#ifndef NDEBUG
+    {
+      CausalOrder Scratch(H);
+      for (unsigned A = 0, N = H.numTxns(); A != N; ++A)
+        for (unsigned B = 0; B != N; ++B)
+          assert(Causal.precedes(A, B) == Scratch.precedes(A, B) &&
+                 "carried causal closure drifted from the scratch one");
+    }
+#endif
+    std::vector<Reordering> Reorderings = computeReorderings(H, Causal);
     TXDPOR_TRACE_SPAN(Swap, CommitFanout, Reorderings.size());
     // One prefix-state cache serves the whole fan-out: every swapped
     // history and readLatest truncation is byte-identical to H below its
@@ -340,7 +354,7 @@ void ExplorationEngine::expandItem(WorkItem Item, std::vector<WorkItem> &Out,
       TXDPOR_TRACE_SPAN(Swap, SwapChild, R.ReaderTxn, R.ReadPos);
       ++S.Stats.SwapsConsidered;
       unsigned FirstChanged = 0;
-      History Swapped = applySwap(H, R, &FirstChanged);
+      History Swapped = applySwap(H, Causal, R, &FirstChanged);
       ++S.Stats.ConsistencyChecks;
       ConstraintState SwapState = PrefixCache->stateFor(R.ReaderTxn);
       SwapState.replayBlocks(Swapped, R.ReaderTxn, Swapped.numTxns());
@@ -355,7 +369,8 @@ void ExplorationEngine::expandItem(WorkItem Item, std::vector<WorkItem> &Out,
              "incremental swap verdict drifted from the scratch checker");
       if (!SwapState.consistent())
         continue;
-      if (!optimalityRestrictionsHold(H, R, BaseLevels, Config.CheckSwapped,
+      if (!optimalityRestrictionsHold(H, Causal, R, BaseLevels,
+                                      Config.CheckSwapped,
                                       Config.CheckReadLatest,
                                       &S.Stats.ConsistencyChecks, Order,
                                       &*PrefixCache))

@@ -31,8 +31,9 @@ namespace {
 
 /// Whether transaction index \p C of \p H contains a swapped read.
 bool hasSwappedRead(const History &H, unsigned C) {
+  CausalOrder Causal(H);
   for (uint32_t P : H.txn(C).externalReads())
-    if (H.txn(C).writerOf(P) && isSwappedRead(H, C, P))
+    if (H.txn(C).writerOf(P) && isSwappedRead(H, Causal, C, P))
       return true;
   return false;
 }

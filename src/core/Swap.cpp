@@ -42,7 +42,8 @@ OracleOrder OracleOrder::fromSequence(const std::vector<TxnUid> &Sequence) {
   return Order;
 }
 
-std::vector<Reordering> txdpor::computeReorderings(const History &H) {
+std::vector<Reordering> txdpor::computeReorderings(const History &H,
+                                                   const CausalOrder &Causal) {
   std::vector<Reordering> Result;
   if (H.numTxns() == 0)
     return Result;
@@ -54,10 +55,9 @@ std::vector<Reordering> txdpor::computeReorderings(const History &H) {
   if (!Target.isCommitted() || Target.isInit())
     return Result;
 
-  const Relation &Causal = H.causalRelation();
   for (unsigned I = 0; I != TIdx; ++I) {
     // (tr(r), t) must not be related by (so ∪ wr)*.
-    if (Causal.get(I, TIdx))
+    if (Causal.precedes(I, TIdx))
       continue;
     const TransactionLog &Reader = H.txn(I);
     for (uint32_t P : Reader.externalReads()) {
@@ -78,9 +78,9 @@ namespace {
 /// events, and keep later blocks only when they are (so ∪ wr)*
 /// predecessors of the target (which, being the last block, is kept).
 /// The truncated reader stays at its original position.
-History truncateKeepingCausalPast(const History &H, unsigned ReaderTxn,
-                                  uint32_t KeepLen, unsigned TargetTxn) {
-  const Relation &Causal = H.causalRelation();
+History truncateKeepingCausalPast(const History &H, const CausalOrder &Causal,
+                                  unsigned ReaderTxn, uint32_t KeepLen,
+                                  unsigned TargetTxn) {
   History Result;
   for (unsigned I = 0, E = H.numTxns(); I != E; ++I) {
     if (I == ReaderTxn) {
@@ -90,7 +90,7 @@ History truncateKeepingCausalPast(const History &H, unsigned ReaderTxn,
     }
     // Kept-whole blocks share storage with H (copy-on-write): the swap
     // fan-out only ever pays for the one truncated reader log.
-    if (I < ReaderTxn || I == TargetTxn || Causal.get(I, TargetTxn))
+    if (I < ReaderTxn || I == TargetTxn || Causal.precedes(I, TargetTxn))
       Result.appendLogShared(H, I);
   }
   return Result;
@@ -98,8 +98,8 @@ History truncateKeepingCausalPast(const History &H, unsigned ReaderTxn,
 
 } // namespace
 
-History txdpor::applySwap(const History &H, const Reordering &R,
-                          unsigned *FirstChangedBlock) {
+History txdpor::applySwap(const History &H, const CausalOrder &Causal,
+                          const Reordering &R, unsigned *FirstChangedBlock) {
   unsigned TIdx = H.numTxns() - 1;
   assert(R.ReaderTxn < TIdx && "reader must precede the target in <");
   assert(H.txn(TIdx).isCommitted() && "swap target must be committed");
@@ -108,15 +108,13 @@ History txdpor::applySwap(const History &H, const Reordering &R,
   assert(H.txn(TIdx).writesVar(H.txn(R.ReaderTxn).event(R.ReadPos).Var) &&
          "swap target must write the read variable");
 
-  const Relation &Causal = H.causalRelation();
-  assert(!Causal.get(R.ReaderTxn, TIdx) &&
+  assert(!Causal.precedes(R.ReaderTxn, TIdx) &&
          "reader and target must be causally unrelated");
-  (void)Causal;
 
   // Build the kept prefix (reader excluded), then append the truncated
   // reader as the new last block with its wr dependency re-pointed to t.
   History Result =
-      truncateKeepingCausalPast(H, R.ReaderTxn, /*KeepLen=*/0, TIdx);
+      truncateKeepingCausalPast(H, Causal, R.ReaderTxn, /*KeepLen=*/0, TIdx);
   unsigned NewIdx = Result.appendLog(H.txn(R.ReaderTxn).truncated(R.ReadPos + 1));
   Result.setWriter(NewIdx, R.ReadPos, H.txn(TIdx).uid());
   Result.checkWellFormed();
@@ -128,8 +126,9 @@ History txdpor::applySwap(const History &H, const Reordering &R,
   return Result;
 }
 
-bool txdpor::isSwappedRead(const History &H, unsigned ReaderTxn,
-                           uint32_t ReadPos, const OracleOrder &Order) {
+bool txdpor::isSwappedRead(const History &H, const CausalOrder &Causal,
+                           unsigned ReaderTxn, uint32_t ReadPos,
+                           const OracleOrder &Order) {
   const TransactionLog &Reader = H.txn(ReaderTxn);
   std::optional<TxnUid> Writer = Reader.writerOf(ReadPos);
   assert(Writer && "swapped-ness is defined for reads with a wr writer");
@@ -146,13 +145,12 @@ bool txdpor::isSwappedRead(const History &H, unsigned ReaderTxn,
 
   // (2) No transaction before r in both orders is a causal successor of
   // the writer.
-  const Relation &Causal = H.causalRelation();
   for (unsigned I = 0, E = H.numTxns(); I != E; ++I) {
     if (I >= ReaderTxn) // r < t' (or t' is the reader itself).
       continue;
     if (!Order.less(H.txn(I).uid(), ReaderUid))
       continue;
-    if (Causal.get(WriterIdx, I))
+    if (Causal.precedes(WriterIdx, I))
       return false;
   }
 
@@ -164,8 +162,9 @@ bool txdpor::isSwappedRead(const History &H, unsigned ReaderTxn,
   return true;
 }
 
-bool txdpor::readsLatest(const History &H, unsigned ReaderTxn,
-                         uint32_t ReadPos, unsigned TargetTxn,
+bool txdpor::readsLatest(const History &H, const CausalOrder &Causal,
+                         unsigned ReaderTxn, uint32_t ReadPos,
+                         unsigned TargetTxn,
                          const LevelAssignment &Base,
                          PrefixStateCache *Cache) {
   TXDPOR_TRACE_SPAN(Check, ReadsLatest, ReaderTxn, ReadPos);
@@ -177,7 +176,8 @@ bool txdpor::readsLatest(const History &H, unsigned ReaderTxn,
 
   // h' of the definition: delete r' itself and every later event whose
   // transaction is not a causal predecessor of t.
-  History Trunc = truncateKeepingCausalPast(H, ReaderTxn, ReadPos, TargetTxn);
+  History Trunc =
+      truncateKeepingCausalPast(H, Causal, ReaderTxn, ReadPos, TargetTxn);
   std::optional<unsigned> NewReader = Trunc.indexOf(Reader.uid());
   assert(NewReader && "reader prefix (at least begin) must remain");
 
@@ -218,7 +218,9 @@ bool txdpor::readsLatest(const History &H, unsigned ReaderTxn,
   return false;
 }
 
-bool txdpor::optimalityRestrictionsHold(const History &H, const Reordering &R,
+bool txdpor::optimalityRestrictionsHold(const History &H,
+                                        const CausalOrder &Causal,
+                                        const Reordering &R,
                                         const LevelAssignment &Base,
                                         bool CheckSwapped,
                                         bool CheckReadLatest,
@@ -230,12 +232,12 @@ bool txdpor::optimalityRestrictionsHold(const History &H, const Reordering &R,
     return true;
 
   auto readOk = [&](unsigned TxnIdx, uint32_t Pos) {
-    if (CheckSwapped && isSwappedRead(H, TxnIdx, Pos, Order))
+    if (CheckSwapped && isSwappedRead(H, Causal, TxnIdx, Pos, Order))
       return false;
     if (CheckReadLatest) {
       if (NumChecks)
         ++*NumChecks;
-      if (!readsLatest(H, TxnIdx, Pos, TIdx, Base, Cache))
+      if (!readsLatest(H, Causal, TxnIdx, Pos, TIdx, Base, Cache))
         return false;
     }
     return true;
@@ -252,9 +254,8 @@ bool txdpor::optimalityRestrictionsHold(const History &H, const Reordering &R,
     if (Reader.writerOf(P) && !readOk(R.ReaderTxn, P))
       return false;
 
-  const Relation &Causal = H.causalRelation();
   for (unsigned I = R.ReaderTxn + 1; I != TIdx; ++I) {
-    if (Causal.get(I, TIdx)) // Kept whole by Swap; not in D.
+    if (Causal.precedes(I, TIdx)) // Kept whole by Swap; not in D.
       continue;
     for (uint32_t P : H.txn(I).externalReads())
       if (H.txn(I).writerOf(P) && !readOk(I, P))
@@ -268,11 +269,12 @@ bool txdpor::optimalityHolds(const History &H, const Reordering &R,
                              bool CheckReadLatest, uint64_t *NumChecks,
                              const OracleOrder &Order) {
   // The re-ordered history must satisfy the base assignment.
-  History Swapped = applySwap(H, R);
+  CausalOrder Causal(H);
+  History Swapped = applySwap(H, Causal, R);
   if (NumChecks)
     ++*NumChecks;
   if (!ConstraintState(Swapped, Base).consistent())
     return false;
-  return optimalityRestrictionsHold(H, R, Base, CheckSwapped,
+  return optimalityRestrictionsHold(H, Causal, R, Base, CheckSwapped,
                                     CheckReadLatest, NumChecks, Order);
 }

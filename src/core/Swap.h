@@ -23,11 +23,18 @@
 /// All functions exploit the explorer invariants: each transaction's
 /// events are contiguous in <, so the order is the log order of History.
 ///
+/// Every function that needs causality reads it through one argument, a
+/// CausalOrder view of (so ∪ wr)+ over \p H's block indices. The view has
+/// two sources: the engine passes the closure its ConstraintState already
+/// carries, and history-only callers (the oracle, Invariants, tests) pass
+/// History::causalRelation(). The code path is the same for both.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TXDPOR_CORE_SWAP_H
 #define TXDPOR_CORE_SWAP_H
 
+#include "consistency/IncrementalChecker.h"
 #include "consistency/IsolationLevel.h"
 #include "history/History.h"
 
@@ -36,7 +43,26 @@
 
 namespace txdpor {
 
-class PrefixStateCache;
+/// Read-only view of one history's causal order (so ∪ wr)+ over its block
+/// indices. It borrows its source, which must outlive the view and stay
+/// unchanged while the view is used.
+class CausalOrder {
+public:
+  /// The scratch source: \p H.causalRelation(), memoized per history.
+  explicit CausalOrder(const History &H) : Scratch(&H.causalRelation()) {}
+  /// The carried source: the closure of a ConstraintState that tracks
+  /// exactly the blocks of the history the view is used with.
+  explicit CausalOrder(const ConstraintState &S) : Carried(&S) {}
+
+  /// True if block \p A causally precedes block \p B.
+  bool precedes(unsigned A, unsigned B) const {
+    return Carried ? Carried->causallyPrecedes(A, B) : Scratch->get(A, B);
+  }
+
+private:
+  const Relation *Scratch = nullptr;
+  const ConstraintState *Carried = nullptr;
+};
 
 /// A re-ordering candidate: the external read at position \c ReadPos of
 /// transaction \c ReaderTxn, to be re-ordered with the history's last
@@ -83,8 +109,10 @@ private:
 };
 
 /// Candidates (r, t) of §5.2; non-empty only when the last event of \p H
-/// is a commit. t is implicitly H's last transaction.
-std::vector<Reordering> computeReorderings(const History &H);
+/// is a commit. t is implicitly H's last transaction. \p Causal is the
+/// causal order of \p H (so for every function below).
+std::vector<Reordering> computeReorderings(const History &H,
+                                           const CausalOrder &Causal);
 
 /// The Swap function of §5.2. Returns the re-ordered history; the caller
 /// rebuilds execution cursors by replay. \p R must come from
@@ -97,15 +125,16 @@ std::vector<Reordering> computeReorderings(const History &H);
 /// \p H — which is exactly the FirstDirtyTxn argument replayCursorsFrom()
 /// needs to rebuild cursors incrementally instead of replaying the whole
 /// program.
-History applySwap(const History &H, const Reordering &R,
-                  unsigned *FirstChangedBlock = nullptr);
+History applySwap(const History &H, const CausalOrder &Causal,
+                  const Reordering &R, unsigned *FirstChangedBlock = nullptr);
 
 /// The swapped(h<, r) predicate of §5.3: r reads from an oracle-order
 /// successor that < orders before it (condition 1), no transaction before
 /// r in both orders is a causal successor of the writer (condition 2), and
 /// r is the po-first read of its transaction reading from that writer
 /// (condition 3).
-bool isSwappedRead(const History &H, unsigned ReaderTxn, uint32_t ReadPos,
+bool isSwappedRead(const History &H, const CausalOrder &Causal,
+                   unsigned ReaderTxn, uint32_t ReadPos,
                    const OracleOrder &Order = OracleOrder());
 
 /// The readLatest_I(h<, r', t) predicate of §5.3: in the history truncated
@@ -123,8 +152,9 @@ bool isSwappedRead(const History &H, unsigned ReaderTxn, uint32_t ReadPos,
 /// history is byte-identical to \p H below block \p ReaderTxn, so the
 /// cached prefix state is copied and only blocks from \p ReaderTxn on are
 /// replayed. Debug builds cross-assert against the bulk construction.
-bool readsLatest(const History &H, unsigned ReaderTxn, uint32_t ReadPos,
-                 unsigned TargetTxn, const LevelAssignment &Base,
+bool readsLatest(const History &H, const CausalOrder &Causal,
+                 unsigned ReaderTxn, uint32_t ReadPos, unsigned TargetTxn,
+                 const LevelAssignment &Base,
                  PrefixStateCache *Cache = nullptr);
 
 /// The §5.3 redundancy restrictions of Optimality — swapped(r'') and
@@ -135,7 +165,8 @@ bool readsLatest(const History &H, unsigned ReaderTxn, uint32_t ReadPos,
 /// combination.
 /// \p Cache, when provided, is forwarded to every readsLatest() call so
 /// the whole fan-out shares one set of O(Δ)-rebuilt prefix states.
-bool optimalityRestrictionsHold(const History &H, const Reordering &R,
+bool optimalityRestrictionsHold(const History &H, const CausalOrder &Causal,
+                                const Reordering &R,
                                 const LevelAssignment &Base,
                                 bool CheckSwapped = true,
                                 bool CheckReadLatest = true,
@@ -148,7 +179,8 @@ bool optimalityRestrictionsHold(const History &H, const Reordering &R,
 /// hold. The ablation flags disable the two redundancy restrictions
 /// individually (soundness and completeness do not depend on them;
 /// optimality does). \p NumChecks, when provided, accumulates
-/// consistency-check counts.
+/// consistency-check counts. Self-contained: reads causality from
+/// \p H.causalRelation().
 bool optimalityHolds(const History &H, const Reordering &R,
                      const LevelAssignment &Base, bool CheckSwapped = true,
                      bool CheckReadLatest = true,

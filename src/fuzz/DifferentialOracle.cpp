@@ -198,7 +198,8 @@ std::optional<Disagreement>
 diffSwapRebuild(const History &H, const LevelAssignment &Levels) {
   if (!Levels.allPrefixClosedCausallyExtensible())
     return std::nullopt;
-  std::vector<Reordering> Rs = computeReorderings(H);
+  CausalOrder Causal(H);
+  std::vector<Reordering> Rs = computeReorderings(H, Causal);
   if (Rs.empty())
     return std::nullopt;
   PrefixStateCache Cache(H, Levels, 0);
@@ -210,7 +211,7 @@ diffSwapRebuild(const History &H, const LevelAssignment &Levels) {
     const ConstraintState &Prefix = Cache.stateFor(R.ReaderTxn);
     if (!Prefix.consistent())
       break;
-    History Swapped = applySwap(H, R);
+    History Swapped = applySwap(H, Causal, R);
     ConstraintState Bulk(Swapped, Levels);
     ConstraintState Incr = Prefix;
     Incr.replayBlocks(Swapped, R.ReaderTxn, Swapped.numTxns());

@@ -182,9 +182,9 @@ public:
 
   /// The causal relation (so ∪ wr)+ (irreflexive transitive closure).
   /// Memoized like soWrRelation(), with the same lifetime and threading
-  /// caveats. The swap machinery queries it many times per node
-  /// (computeReorderings, applySwap, swapped/readLatest); the memo makes
-  /// all of them one closure computation per history value.
+  /// caveats. The scratch source of the swap layer's CausalOrder view
+  /// (core/Swap.h) for history-only callers; the engine's fan-out reads
+  /// the closure its ConstraintState carries instead.
   const Relation &causalRelation() const;
 
   //===--------------------------------------------------------------------===

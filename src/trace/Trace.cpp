@@ -178,6 +178,8 @@ const char *txdpor::trace::name(Name N) {
     return "pending";
   case Name::FuzzCase:
     return "fuzz_case";
+  case Name::Filter:
+    return "filter";
   }
   return "?";
 }

@@ -150,6 +150,7 @@ traces="$(cd "$(dirname "$0")" && pwd)/traces"
 expect_reject "prefix-closed causally-extensible" \
   check-trace "$traces/clean_tiny.litmus" --base SER
 expect_exit 0 check-trace "$traces/clean_tiny.litmus" --base CC
+expect_exit 0 check-trace "$traces/index_gap.jsonl" --base CC
 expect_exit 2 check-trace "$traces/read_skew_rc.litmus" --base RC
 expect_exit 2 check-trace "$traces/mixed_rc_cc.litmus"
 expect_exit 0 check-trace "$traces/mixed_rc_cc.litmus" --base RC

@@ -155,7 +155,7 @@ TEST(CowHistoryTest, SwapSharesKeptCausalPast) {
                   .txn(1, 1).w(X, 4).commit()
                   .build();
   unsigned FirstChanged = 0;
-  History Swapped = applySwap(H, {1, 1}, &FirstChanged);
+  History Swapped = applySwap(H, CausalOrder(H), {1, 1}, &FirstChanged);
 
   EXPECT_EQ(FirstChanged, Swapped.numTxns() - 1)
       << "only the truncated reader block changes";
@@ -173,7 +173,7 @@ TEST(CowHistoryTest, SwapOnSharedPrefixLeavesAllSharersIntact) {
   History H = makeReadWriteHistory();
   History Alias = H; // Every log shared three ways after the swap.
   unsigned FirstChanged = 0;
-  History Swapped = applySwap(H, {1, 1}, &FirstChanged);
+  History Swapped = applySwap(H, CausalOrder(H), {1, 1}, &FirstChanged);
 
   // Extending the swapped reader (as the explorer does next) must not
   // perturb H or its alias, even though they share the kept prefix.
@@ -200,7 +200,7 @@ TEST(CowHistoryTest, IncrementalSwapReplayMatchesFullReplay) {
   CursorMap Snapshot = replayAllCursors(P, H);
 
   unsigned FirstChanged = 0;
-  History Swapped = applySwap(H, {1, 1}, &FirstChanged);
+  History Swapped = applySwap(H, CausalOrder(H), {1, 1}, &FirstChanged);
   CursorMap Incremental = replayCursorsFrom(P, Swapped, Snapshot, FirstChanged);
   CursorMap Full = replayAllCursors(P, Swapped);
 

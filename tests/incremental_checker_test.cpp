@@ -165,9 +165,9 @@ void runRandomEquivalence(uint64_t Seed, const LevelAssignment &Levels,
 
     // Swap-replay leg: every reordering of the just-committed block must
     // bulk-rebuild to the scratch verdict of the swapped history.
-    for (const Reordering &Rd : computeReorderings(H)) {
+    for (const Reordering &Rd : computeReorderings(H, CausalOrder(H))) {
       unsigned FirstChanged = 0;
-      History Swapped = applySwap(H, Rd, &FirstChanged);
+      History Swapped = applySwap(H, CausalOrder(H), Rd, &FirstChanged);
       EXPECT_EQ(FirstChanged, Swapped.numTxns() - 1);
       ConstraintState SwapState(Swapped, Levels);
       EXPECT_EQ(SwapState.consistent(), scratchConsistent(Swapped, Levels))
@@ -242,8 +242,8 @@ void runPrefixCacheSwapGrid(uint64_t Seed, const LevelAssignment &Levels) {
   }
 
   PrefixStateCache SwapCache(H, Levels, NumTxns + 1);
-  for (const Reordering &Rd : computeReorderings(H)) {
-    History Swapped = applySwap(H, Rd);
+  for (const Reordering &Rd : computeReorderings(H, CausalOrder(H))) {
+    History Swapped = applySwap(H, CausalOrder(H), Rd);
     ConstraintState Bulk(Swapped, Levels);
     ConstraintState Incr = SwapCache.stateFor(Rd.ReaderTxn);
     Incr.replayBlocks(Swapped, Rd.ReaderTxn, Swapped.numTxns());

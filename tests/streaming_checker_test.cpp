@@ -112,6 +112,10 @@ TEST(StreamingCorpusTest, GoldenVerdicts) {
       {"clean_tiny.litmus", L::CausalConsistency, 0, StreamStatus::Ok},
       {"clean_tiny.litmus", L::ReadCommitted, 2, StreamStatus::Ok},
       {"aborted.jsonl", L::CausalConsistency, 8, StreamStatus::Ok},
+      // Indices ascend within a session but need not start at 0 or be
+      // contiguous: a first transaction "i":5 and gaps are accepted.
+      {"index_gap.jsonl", L::CausalConsistency, 0, StreamStatus::Ok},
+      {"index_gap.jsonl", L::ReadCommitted, 2, StreamStatus::Ok},
       // Read skew closes a commit-order cycle already at RC.
       {"read_skew_rc.litmus", L::ReadCommitted, 0, StreamStatus::Anomaly},
       {"read_skew_rc.litmus", L::CausalConsistency, 0, StreamStatus::Anomaly},

@@ -9,13 +9,16 @@
 /// Unit tests of the §5.2/§5.3 machinery on the paper's own examples:
 /// Fig. 11 (re-ordering deletes dependents; aborted readers re-execute),
 /// Fig. 12 (readLatest restricts which branch may swap) and Fig. 13 (the
-/// swapped predicate prevents re-swapping).
+/// swapped predicate prevents re-swapping). The last suite checks that the
+/// swap layer answers the same through both sources of its causal order.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Swap.h"
 
+#include "apps/Applications.h"
 #include "consistency/ConsistencyChecker.h"
+#include "core/Engine.h"
 #include "semantics/Executor.h"
 #include "TestUtil.h"
 #include <gtest/gtest.h>
@@ -46,14 +49,14 @@ TEST(ComputeReorderingsTest, EmptyUnlessLastIsCommit) {
                         .txn(0, 0).rInit(X).commit()
                         .txn(1, 0).w(X, 4)
                         .build();
-  EXPECT_TRUE(computeReorderings(Pending).empty());
+  EXPECT_TRUE(computeReorderings(Pending, CausalOrder(Pending)).empty());
 
   // Last block aborted: no candidates (footnote 5).
   History Aborted = LitmusBuilder(1)
                         .txn(0, 0).rInit(X).commit()
                         .txn(1, 0).w(X, 4).abort()
                         .build();
-  EXPECT_TRUE(computeReorderings(Aborted).empty());
+  EXPECT_TRUE(computeReorderings(Aborted, CausalOrder(Aborted)).empty());
 }
 
 TEST(ComputeReorderingsTest, FindsCausallyUnrelatedReads) {
@@ -64,7 +67,7 @@ TEST(ComputeReorderingsTest, FindsCausallyUnrelatedReads) {
                   .txn(1, 0).w(Y, 3).commit()          // t3 writes y only.
                   .txn(1, 1).w(X, 4).commit()          // t4 writes x.
                   .build();
-  std::vector<Reordering> Rs = computeReorderings(H);
+  std::vector<Reordering> Rs = computeReorderings(H, CausalOrder(H));
   ASSERT_EQ(Rs.size(), 2u);
   EXPECT_EQ(Rs[0].ReaderTxn, 1u); // t1's read.
   EXPECT_EQ(Rs[1].ReaderTxn, 2u); // t2's read.
@@ -80,14 +83,14 @@ TEST(ComputeReorderingsTest, SkipsCausallyRelatedReaders) {
                   .build();
   // Only candidate pair would be (read of t0.0, t0.0's own txn)? No: the
   // last block is t0.0 which writes nothing. No candidates.
-  EXPECT_TRUE(computeReorderings(H).empty());
+  EXPECT_TRUE(computeReorderings(H, CausalOrder(H)).empty());
 
   // so-related: the reader is the last transaction's session predecessor.
   History H2 = LitmusBuilder(1)
                    .txn(0, 0).rInit(X).commit()
                    .txn(0, 1).w(X, 4).commit()
                    .build();
-  EXPECT_TRUE(computeReorderings(H2).empty());
+  EXPECT_TRUE(computeReorderings(H2, CausalOrder(H2)).empty());
 }
 
 TEST(ApplySwapTest, Fig11DeletesDependentsAndTruncatesReader) {
@@ -105,7 +108,7 @@ TEST(ApplySwapTest, Fig11DeletesDependentsAndTruncatesReader) {
   // Swap t4 with t1's read (Fig. 11d): everything po/so-after the read in
   // session 0 is deleted (t1's abort, all of t2); t3 stays (so-pred of
   // t4); the reader ends last, pending, reading from t4.
-  History Swapped = applySwap(H, {1, 1});
+  History Swapped = applySwap(H, CausalOrder(H), {1, 1});
   EXPECT_FALSE(Swapped.contains(uid(0, 1))) << "t2 must be deleted";
   ASSERT_TRUE(Swapped.contains(uid(0, 0)));
   ASSERT_TRUE(Swapped.contains(uid(1, 0))) << "t3 is kept (so-pred of t4)";
@@ -119,7 +122,7 @@ TEST(ApplySwapTest, Fig11DeletesDependentsAndTruncatesReader) {
 
   // Swap t4 with t2's read (Fig. 11c): only t2's commit is deleted; t1
   // stays whole (it precedes the read in <).
-  History Swapped2 = applySwap(H, {2, 1});
+  History Swapped2 = applySwap(H, CausalOrder(H), {2, 1});
   EXPECT_TRUE(Swapped2.contains(uid(0, 0)));
   unsigned Reader2 = *Swapped2.indexOf(uid(0, 1));
   EXPECT_EQ(Reader2, Swapped2.numTxns() - 1);
@@ -132,7 +135,7 @@ TEST(ApplySwapTest, ResultMinusReadIsPrefix) {
                   .txn(0, 0).rInit(X).rInit(Y).commit()
                   .txn(1, 0).w(X, 4).w(Y, 5).commit()
                   .build();
-  History Swapped = applySwap(H, {1, 1});
+  History Swapped = applySwap(H, CausalOrder(H), {1, 1});
   // Swap spec condition (2): dropping the re-pointed read (and the events
   // after it) from the result yields a prefix of the input.
   unsigned Reader = *Swapped.indexOf(uid(0, 0));
@@ -148,7 +151,7 @@ TEST(SwappedReadTest, ReadFromOracleSuccessorCountsAsSwapped) {
                   .txn(1, 0).w(X, 4).commit()
                   .txn(0, 0).r(X, uid(1, 0)).commit()
                   .build();
-  EXPECT_TRUE(isSwappedRead(H, 2, 1));
+  EXPECT_TRUE(isSwappedRead(H, CausalOrder(H), 2, 1));
 }
 
 TEST(SwappedReadTest, ReadFromOraclePredecessorIsNotSwapped) {
@@ -156,7 +159,7 @@ TEST(SwappedReadTest, ReadFromOraclePredecessorIsNotSwapped) {
                   .txn(0, 0).w(X, 4).commit()
                   .txn(1, 0).r(X, uid(0, 0)).commit()
                   .build();
-  EXPECT_FALSE(isSwappedRead(H, 2, 1));
+  EXPECT_FALSE(isSwappedRead(H, CausalOrder(H), 2, 1));
 }
 
 TEST(SwappedReadTest, Condition2ExcludesCausallyCoveredReads) {
@@ -171,10 +174,11 @@ TEST(SwappedReadTest, Condition2ExcludesCausallyCoveredReads) {
                   .txn(0, 0).r(X, uid(1, 0)).commit()
                   .txn(0, 1).r(X, uid(1, 0)).commit()
                   .build();
-  EXPECT_TRUE(isSwappedRead(H, 2, 1)) << "the original swapped read";
+  EXPECT_TRUE(isSwappedRead(H, CausalOrder(H), 2, 1))
+      << "the original swapped read";
   // For t0.1's read: t' = t0.0 is <or-before t0.1, <-before it, and is a
   // causal successor of the writer t1.0 ⇒ not swapped.
-  EXPECT_FALSE(isSwappedRead(H, 3, 1));
+  EXPECT_FALSE(isSwappedRead(H, CausalOrder(H), 3, 1));
 }
 
 TEST(SwappedReadTest, Condition3FirstReaderOnly) {
@@ -184,8 +188,8 @@ TEST(SwappedReadTest, Condition3FirstReaderOnly) {
                   .txn(1, 0).w(X, 4).w(Y, 5).commit()
                   .txn(0, 0).r(X, uid(1, 0)).r(Y, uid(1, 0)).commit()
                   .build();
-  EXPECT_TRUE(isSwappedRead(H, 2, 1));
-  EXPECT_FALSE(isSwappedRead(H, 2, 2));
+  EXPECT_TRUE(isSwappedRead(H, CausalOrder(H), 2, 1));
+  EXPECT_FALSE(isSwappedRead(H, CausalOrder(H), 2, 2));
 }
 
 TEST(ReadsLatestTest, Fig12OnlyInitBranchMaySwap) {
@@ -209,16 +213,16 @@ TEST(ReadsLatestTest, Fig12OnlyInitBranchMaySwap) {
   // t2's read is txn index 2 pos 1; t3's read is txn index 3 pos 1;
   // target t4 is txn index 4.
   History II = MakeHistory(true, true);
-  EXPECT_TRUE(readsLatest(II, 2, 1, 4, cc()));
-  EXPECT_TRUE(readsLatest(II, 3, 1, 4, cc()));
+  EXPECT_TRUE(readsLatest(II, CausalOrder(II), 2, 1, 4, cc()));
+  EXPECT_TRUE(readsLatest(II, CausalOrder(II), 3, 1, 4, cc()));
 
   History TI = MakeHistory(false, true);
-  EXPECT_FALSE(readsLatest(TI, 2, 1, 4, cc()))
+  EXPECT_FALSE(readsLatest(TI, CausalOrder(TI), 2, 1, 4, cc()))
       << "t2 reads t1 which is outside its causal past";
-  EXPECT_TRUE(readsLatest(TI, 3, 1, 4, cc()));
+  EXPECT_TRUE(readsLatest(TI, CausalOrder(TI), 3, 1, 4, cc()));
 
   History IT = MakeHistory(true, false);
-  EXPECT_FALSE(readsLatest(IT, 3, 1, 4, cc()));
+  EXPECT_FALSE(readsLatest(IT, CausalOrder(IT), 3, 1, 4, cc()));
 
   // Optimality for the (r2, t4) swap holds only in the init/init branch.
   EXPECT_TRUE(optimalityHolds(II, {2, 1}, cc()));
@@ -236,7 +240,7 @@ TEST(ReadsLatestTest, CausalPastWritersQualify) {
                   .txn(0, 1).r(X, uid(0, 0)).commit()
                   .txn(1, 0).w(X, 4).commit()
                   .build();
-  EXPECT_TRUE(readsLatest(H, 2, 1, 3, cc()));
+  EXPECT_TRUE(readsLatest(H, CausalOrder(H), 2, 1, 3, cc()));
 
   // Reading init instead of the causally-newer session write: under CC
   // this is inconsistent anyway, but readLatest specifically rejects
@@ -246,7 +250,7 @@ TEST(ReadsLatestTest, CausalPastWritersQualify) {
                    .txn(0, 1).rInit(X).commit()
                    .txn(1, 0).w(X, 4).commit()
                    .build();
-  EXPECT_FALSE(readsLatest(H2, 2, 1, 3, cc()));
+  EXPECT_FALSE(readsLatest(H2, CausalOrder(H2), 2, 1, 3, cc()));
 }
 
 TEST(OptimalityTest, Fig13NoReswapAfterSwap) {
@@ -262,7 +266,7 @@ TEST(OptimalityTest, Fig13NoReswapAfterSwap) {
                    .txn(1, 0).r(Y, uid(2, 0)).commit() // t2: swapped read.
                    .txn(3, 0).w(X, 4).commit()   // t4.
                    .build();
-  ASSERT_TRUE(isSwappedRead(H1, 3, 1));
+  ASSERT_TRUE(isSwappedRead(H1, CausalOrder(H1), 3, 1));
   EXPECT_FALSE(optimalityHolds(H1, {1, 1}, cc()))
       << "re-swapping would delete the swapped read of t2 (Fig. 13)";
 
@@ -289,7 +293,7 @@ TEST(OptimalityTest, RejectsInconsistentSwapResult) {
   // Swap (read of t0.1, t1.0): result keeps t0.0 whole (before the read),
   // reader reads x from t1.0 — consistent under CC; optimality holds.
   EXPECT_TRUE(optimalityHolds(H, {2, 1}, cc()));
-  History Swapped = applySwap(H, {2, 1});
+  History Swapped = applySwap(H, CausalOrder(H), {2, 1});
   EXPECT_TRUE(isConsistent(Swapped, IsolationLevel::CausalConsistency));
 }
 
@@ -315,7 +319,7 @@ TEST(ApplySwapTest, ReportsFirstChangedBlock) {
                   .txn(1, 0).w(X, 4).w(Y, 5).commit()
                   .build();
   unsigned FirstChanged = 99;
-  History Swapped = applySwap(H, {1, 1}, &FirstChanged);
+  History Swapped = applySwap(H, CausalOrder(H), {1, 1}, &FirstChanged);
   // The truncated reader is re-appended last; everything before it is the
   // unchanged (storage-shared) causal past of the target.
   EXPECT_EQ(FirstChanged, Swapped.numTxns() - 1);
@@ -350,7 +354,7 @@ TEST(ApplySwapTest, IncrementalReplayAfterSwapMatchesFull) {
   CursorMap Snapshot = replayAllCursors(P, H);
 
   unsigned FirstChanged = 0;
-  History Swapped = applySwap(H, {1, 1}, &FirstChanged);
+  History Swapped = applySwap(H, CausalOrder(H), {1, 1}, &FirstChanged);
   CursorMap Incremental =
       replayCursorsFrom(P, Swapped, Snapshot, FirstChanged);
   CursorMap Full = replayAllCursors(P, Swapped);
@@ -359,5 +363,104 @@ TEST(ApplySwapTest, IncrementalReplayAfterSwapMatchesFull) {
     auto It = Incremental.find(KV.first);
     ASSERT_NE(It, Incremental.end());
     EXPECT_TRUE(It->second == KV.second);
+  }
+}
+
+namespace {
+
+/// Compares the swap layer's answers on \p H through the closure carried
+/// by \p State against the ones through H.causalRelation().
+void expectSameThroughBothSources(const History &H,
+                                  const ConstraintState &State,
+                                  const LevelAssignment &Base) {
+  CausalOrder Carried(State), Scratch(H);
+  for (unsigned A = 0; A != H.numTxns(); ++A)
+    for (unsigned B = 0; B != H.numTxns(); ++B)
+      ASSERT_EQ(Carried.precedes(A, B), Scratch.precedes(A, B))
+          << A << " -> " << B << " in\n"
+          << H.str();
+
+  std::vector<Reordering> ViaCarried = computeReorderings(H, Carried);
+  std::vector<Reordering> ViaScratch = computeReorderings(H, Scratch);
+  ASSERT_EQ(ViaCarried.size(), ViaScratch.size()) << H.str();
+  for (size_t I = 0; I != ViaCarried.size(); ++I) {
+    const Reordering &R = ViaCarried[I];
+    EXPECT_EQ(R.ReaderTxn, ViaScratch[I].ReaderTxn);
+    EXPECT_EQ(R.ReadPos, ViaScratch[I].ReadPos);
+    unsigned FirstCarried = 0, FirstScratch = 0;
+    EXPECT_EQ(applySwap(H, Carried, R, &FirstCarried).str(),
+              applySwap(H, Scratch, R, &FirstScratch).str());
+    EXPECT_EQ(FirstCarried, FirstScratch);
+    EXPECT_EQ(optimalityRestrictionsHold(H, Carried, R, Base),
+              optimalityRestrictionsHold(H, Scratch, R, Base))
+        << "reader " << R.ReaderTxn << " pos " << R.ReadPos << " in\n"
+        << H.str();
+  }
+  for (unsigned T = 1; T != H.numTxns(); ++T)
+    for (uint32_t P : H.txn(T).externalReads())
+      if (H.txn(T).writerOf(P)) {
+        EXPECT_EQ(isSwappedRead(H, Carried, T, P),
+                  isSwappedRead(H, Scratch, T, P));
+      }
+}
+
+/// Walks \p Prog's explore-ce(\p Base) tree depth-first, up to \p MaxItems
+/// expansions, and checks both causal sources at every item whose last
+/// block has just committed — the history and state of one commit
+/// fan-out. Returns the number of fan-outs checked.
+unsigned checkEveryFanout(const Program &Prog, IsolationLevel Base,
+                          uint64_t MaxItems) {
+  ExplorationEngine Engine(Prog, ExplorerConfig::exploreCE(Base));
+  LevelAssignment Levels = LevelAssignment::uniform(Base);
+  ExplorationSink S;
+  std::vector<WorkItem> Stack, Children;
+  Stack.push_back(Engine.initialItem());
+  unsigned Fanouts = 0;
+  for (uint64_t Items = 0; !Stack.empty() && Items != MaxItems; ++Items) {
+    WorkItem Item = std::move(Stack.back());
+    Stack.pop_back();
+    const History &H = Item.H;
+    const TransactionLog &Last = H.txn(H.numTxns() - 1);
+    if (!Last.isInit() && Last.isCommitted()) {
+      ++Fanouts;
+      expectSameThroughBothSources(H, Item.CState, Levels);
+      if (::testing::Test::HasFailure())
+        return Fanouts;
+    }
+    Children.clear();
+    Engine.expandItem(std::move(Item), Children, S);
+    for (size_t I = Children.size(); I-- > 0;)
+      Stack.push_back(std::move(Children[I]));
+  }
+  return Fanouts;
+}
+
+} // namespace
+
+TEST(SwapCausalSourceTest, CarriedMatchesScratchOnRandomPrograms) {
+  Rng R(20261019);
+  RandomProgramSpec Spec;
+  Spec.NumSessions = 3;
+  Spec.TxnsPerSession = 2;
+  unsigned Fanouts = 0;
+  for (unsigned Iter = 0; Iter != 12; ++Iter) {
+    Program P = makeRandomProgram(R, Spec);
+    for (IsolationLevel Base :
+         {IsolationLevel::ReadCommitted, IsolationLevel::CausalConsistency})
+      Fanouts += checkEveryFanout(P, Base, /*MaxItems=*/4000);
+  }
+  EXPECT_GT(Fanouts, 100u);
+}
+
+TEST(SwapCausalSourceTest, CarriedMatchesScratchOnApps) {
+  for (AppKind App : {AppKind::Tpcc, AppKind::Courseware}) {
+    ClientSpec Spec;
+    Spec.Sessions = 4;
+    Spec.TxnsPerSession = 3;
+    EXPECT_GT(checkEveryFanout(makeClientProgram(App, Spec),
+                               IsolationLevel::CausalConsistency,
+                               /*MaxItems=*/10000),
+              200u)
+        << appName(App);
   }
 }

@@ -10,7 +10,9 @@ what a human would eyeball in chrome://tracing before trusting the file:
   * thread_name metadata covers every tid that emitted spans;
   * (with --expect-parallel) spans came from >= MIN_CATEGORIES categories
     and >= 2 distinct worker threads, so a regression that silently stops
-    recording a subsystem fails the job rather than shipping empty lanes.
+    recording a subsystem fails the job rather than shipping empty lanes;
+  * (with --expect-span NAME, repeatable) at least one complete span of
+    that name was recorded, e.g. `filter` for an explore-ce* run.
 
 Exit status: 0 = valid, 1 = validation failure, 2 = usage/IO error.
 """
@@ -37,6 +39,13 @@ def main():
         help=f"require spans from >= {MIN_CATEGORIES} categories and "
         ">= 2 worker threads",
     )
+    parser.add_argument(
+        "--expect-span",
+        action="append",
+        default=[],
+        metavar="NAME",
+        help="require at least one complete span named NAME (repeatable)",
+    )
     args = parser.parse_args()
 
     try:
@@ -53,6 +62,7 @@ def main():
         return fail("traceEvents missing or not an array")
 
     span_categories = set()
+    span_names = set()
     span_tids = set()
     named_tids = {}
     worker_tids = set()
@@ -91,6 +101,7 @@ def main():
             if not isinstance(dur, (int, float)) or dur < 0:
                 return fail(f"{where}: bad dur {dur!r}")
             span_categories.add(cat)
+            span_names.add(ev["name"])
             span_tids.add(ev["tid"])
         elif ph == "i":
             if ev.get("s") != "t":
@@ -117,6 +128,10 @@ def main():
             return fail(
                 f"spans from {len(active_workers)} worker threads (need >= 2)"
             )
+
+    missing = [n for n in args.expect_span if n not in span_names]
+    if missing:
+        return fail(f"no spans named {', '.join(missing)}")
 
     n_spans = sum(1 for e in events if e.get("ph") == "X")
     print(
