@@ -272,10 +272,11 @@ void ConstraintState::applyExternalRead(unsigned W, VarId Var) {
 void ConstraintState::applyCommit(const TransactionLog &Log) {
   assert(HasOpen && !Inconsistent);
   assert(Log.isCommitted() && "applyCommit on a non-committed log");
-  for (VarId V : Log.writtenVars()) {
-    assert(V < NumVars && "variable out of range");
-    setBit(&WriterBits[static_cast<size_t>(V) * Words], OpenIdx);
-  }
+  for (const Event &E : Log.events())
+    if (E.isWrite()) {
+      assert(E.Var < NumVars && "variable out of range");
+      setBit(&WriterBits[static_cast<size_t>(E.Var) * Words], OpenIdx);
+    }
   HasOpen = false;
   OpenReads.clear();
 }
@@ -288,34 +289,42 @@ void ConstraintState::applyAbort() {
   OpenReads.clear();
 }
 
-ConstraintState::ConstraintState(const ConstraintState &Old,
-                                 const std::vector<unsigned> &Keep,
-                                 unsigned MaxTxns)
-    : Levels(Old.Levels) {
-  assert(!Old.Inconsistent && "compacting an inconsistent state");
-  assert(!Old.HasOpen && "compacting with an open transaction");
-  assert(!Keep.empty() && Keep.front() == 0 &&
+void ConstraintState::compact(const std::vector<Relation::Run> &Runs) {
+  assert(!Inconsistent && "compacting an inconsistent state");
+  assert(!HasOpen && "compacting with an open transaction");
+  assert(!Runs.empty() && Runs.front().From == 0 &&
          "the initial transaction must be retained");
-  const unsigned K = static_cast<unsigned>(Keep.size());
-  assert(K <= Old.NumTxns && "more retained blocks than tracked");
-  MaxN = std::max(MaxTxns, K);
-  Words = (MaxN + 63) / 64;
-  NumTxns = K;
-  NumVars = Old.NumVars;
-  TrivialOnly = Old.TrivialOnly;
-  SoWrPreds = Old.SoWrPreds.restrictedTo(Keep, MaxN);
-  CausalPreds = Old.CausalPreds.restrictedTo(Keep, MaxN);
+  assert(Runs.back().From + Runs.back().Len <= NumTxns &&
+         "retained index out of range");
+  SoWrPreds.compact(Runs, NumTxns);
+  CausalPreds.compact(Runs, NumTxns);
   if (!TrivialOnly)
-    GPreds = Old.GPreds.restrictedTo(Keep, MaxN);
-  WriterBits.assign(static_cast<size_t>(NumVars) * Words, 0);
-  SessionOfTxn.assign(MaxN, 0);
-  for (unsigned I = 0; I != K; ++I) {
-    assert(Keep[I] < Old.NumTxns && "retained index out of range");
-    SessionOfTxn[I] = Old.SessionOfTxn[Keep[I]];
-    for (VarId V = 0; V != NumVars; ++V)
-      if (Old.writesVar(Keep[I], V))
-        setBit(&WriterBits[static_cast<size_t>(V) * Words], I);
-  }
+    GPreds.compact(Runs, NumTxns);
+  for (VarId V = 0; V != NumVars; ++V)
+    Relation::compactBits(&WriterBits[static_cast<size_t>(V) * Words], Words,
+                          Runs);
+  for (const Relation::Run &R : Runs)
+    std::copy(SessionOfTxn.begin() + R.From,
+              SessionOfTxn.begin() + R.From + R.Len,
+              SessionOfTxn.begin() + R.To);
+  NumTxns = Runs.back().To + Runs.back().Len;
+}
+
+void ConstraintState::grow(unsigned MaxTxns) {
+  assert(MaxTxns >= MaxN && "grow cannot shrink the capacity");
+  const unsigned NewWords = (MaxTxns + 63) / 64;
+  SoWrPreds.grow(MaxTxns);
+  CausalPreds.grow(MaxTxns);
+  if (!TrivialOnly)
+    GPreds.grow(MaxTxns);
+  std::vector<uint64_t> Bits(static_cast<size_t>(NumVars) * NewWords, 0);
+  for (VarId V = 0; V != NumVars; ++V)
+    std::copy_n(&WriterBits[static_cast<size_t>(V) * Words], Words,
+                &Bits[static_cast<size_t>(V) * NewWords]);
+  WriterBits = std::move(Bits);
+  SessionOfTxn.resize(MaxTxns, 0);
+  MaxN = MaxTxns;
+  Words = NewWords;
 }
 
 void ConstraintState::initFromHistory(const History &H, unsigned MaxTxns) {

@@ -57,6 +57,7 @@
 #include "history/History.h"
 #include "support/Relation.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -101,20 +102,6 @@ public:
   /// reallocating. Seeds the PrefixStateCache checkpoints.
   ConstraintState(const History &H, const LevelAssignment &Levels,
                   unsigned MaxTxns, unsigned PrefixLen);
-
-  /// Compacts \p Old to the blocks listed in \p Keep (strictly ascending,
-  /// must retain index 0), renumbering every matrix and bitset — the
-  /// state-side half of History::retainBlocks. This is deliberately a
-  /// *submatrix copy*, not a rebuild from the compacted history: forced
-  /// edges between retained transactions that were derived from evicted
-  /// readers' axiom instances are genuine constraints of the full trace
-  /// and must survive the eviction (a rebuild would silently drop them).
-  /// The restriction of a transitive closure to a subset stays
-  /// transitively closed, so every maintained invariant carries over.
-  /// \p Old must be consistent with no open transaction. \p MaxTxns
-  /// pre-sizes the new capacity (at least Keep.size()).
-  ConstraintState(const ConstraintState &Old, const std::vector<unsigned> &Keep,
-                  unsigned MaxTxns);
 
   /// Replays blocks [\p From, \p To) of \p H through the extension
   /// appliers — the delta half of the bulk constructor, exposed so swap
@@ -179,13 +166,62 @@ public:
 
   /// True if \p A must commit before \p B under the maintained constraint
   /// graph — (so ∪ wr ∪ forced)+ for saturating assignments, (so ∪ wr)+
-  /// when every session is at "true" (no forced edges exist). The
-  /// streaming GC uses this to prove a window transaction unreachable
-  /// from every retained one before evicting it.
+  /// when every session is at "true" (no forced edges exist).
   bool constrains(unsigned A, unsigned B) const {
     assert(A < NumTxns && B < NumTxns && "transaction index out of range");
     return TrivialOnly ? CausalPreds.get(B, A) : GPreds.get(B, A);
   }
+
+  /// The latest committed writer of \p Var in block order — the initial
+  /// transaction when no other has committed a write to it.
+  unsigned lastCommittedWriter(VarId Var) const {
+    assert(Var < NumVars && "variable out of range");
+    const uint64_t *Row = &WriterBits[static_cast<size_t>(Var) * Words];
+    for (unsigned W = Words; W-- > 0;)
+      if (Row[W])
+        return W * 64 + 63 - static_cast<unsigned>(__builtin_clzll(Row[W]));
+    return 0;
+  }
+
+  /// True if some transaction in \p Among, a bitset over block indices
+  /// (bit A of word A / 64; words past its end count as empty), is a
+  /// committed writer of \p Var.
+  bool committedWriterIn(VarId Var, const std::vector<uint64_t> &Among) const {
+    assert(Var < NumVars && "variable out of range");
+    return intersects(&WriterBits[static_cast<size_t>(Var) * Words], Among);
+  }
+
+  /// True if constrains(A, \p B) holds for some A in \p Among, a bitset as
+  /// for committedWriterIn — one word-parallel row intersection. The
+  /// streaming GC uses this to prove a window transaction unreachable from
+  /// every retained one before evicting it.
+  bool constrainedByAny(unsigned B, const std::vector<uint64_t> &Among) const {
+    assert(B < NumTxns && "transaction index out of range");
+    return intersects(TrivialOnly ? CausalPreds.rowWords(B)
+                                  : GPreds.rowWords(B),
+                      Among);
+  }
+
+  /// Compacts the state to the blocks that \p Runs retain (the runs of an
+  /// ascending Keep list that includes index 0, Relation::runsOf),
+  /// renumbering every matrix and bitset in place — the state-side half of
+  /// History::retainBlocks. This is deliberately a *submatrix
+  /// restriction*, not a rebuild from the compacted history: forced edges
+  /// between retained transactions that were derived from evicted
+  /// readers' axiom instances are genuine constraints of the full trace
+  /// and must survive the eviction (a rebuild would silently drop them).
+  /// The restriction of a transitive closure to a subset stays
+  /// transitively closed, so every maintained invariant carries over. The
+  /// state must be consistent with no open transaction; capacity is
+  /// unchanged and nothing is allocated.
+  void compact(const std::vector<Relation::Run> &Runs);
+
+  /// Raises the capacity to \p MaxTxns >= the current one, keeping the
+  /// tracked blocks.
+  void grow(unsigned MaxTxns);
+
+  /// Current capacity (the MaxTxns the state was sized or grown for).
+  unsigned capacity() const { return MaxN; }
 
   /// True while a transaction is open (pending): the target of probes and
   /// read/commit/abort appliers.
@@ -245,6 +281,14 @@ private:
 
   size_t wordIndex(VarId Var, unsigned Txn) const {
     return static_cast<size_t>(Var) * Words + Txn / 64;
+  }
+
+  /// True if the capacity-wide bit row \p Row meets the bitset \p Among.
+  bool intersects(const uint64_t *Row, const std::vector<uint64_t> &Among) const {
+    for (size_t W = 0, E = std::min<size_t>(Words, Among.size()); W != E; ++W)
+      if (Row[W] & Among[W])
+        return true;
+    return false;
   }
 
   /// Adds edge (A, B) to the closure whose transposed form is \p Preds,

@@ -28,8 +28,9 @@ StreamingChecker::StreamingChecker(const StreamingOptions &Opts) : Opts(Opts) {
   assert(Opts.Levels.allPrefixClosedCausallyExtensible() &&
          "streaming requires a prefix-closed causally-extensible assignment");
   Win = History::makeInitial(Opts.NumVars);
-  Capacity = std::max(InitialCapacity, Win.numTxns() + 1);
-  State = ConstraintState(Win, Opts.Levels, Capacity);
+  State = ConstraintState(Win, Opts.Levels,
+                          std::max(InitialCapacity, Win.numTxns() + 1));
+  ReadsFrom = Relation(State.capacity());
   EvictedWriterOfVar.assign(Opts.NumVars, 0);
   NextGcAt = Opts.WindowBudget;
 }
@@ -137,7 +138,7 @@ StreamStatus StreamingChecker::append(const TransactionLog &Log,
         return malformed(Diag, "read from unknown transaction " +
                                    Writer->str() + " in " + Uid.str());
       }
-      if (!Win.txn(*WIdx).writesVar(E.Var))
+      if (!State.writesVar(*WIdx, E.Var))
         return malformed(Diag, "writer " + Writer->str() +
                                    " does not visibly write x" +
                                    std::to_string(E.Var) + " (read in " +
@@ -148,30 +149,31 @@ StreamStatus StreamingChecker::append(const TransactionLog &Log,
     }
   }
 
-  // Phase 2: replay the record through the window history and the
-  // constraint state. Only an anomaly can interrupt this, and an anomaly
-  // is terminal — the partially-materialized transaction *is* the
-  // witness.
+  // Phase 2: replay the record through the constraint state, then copy
+  // it into the window whole. Only an anomaly can interrupt this, and an
+  // anomaly is terminal — the transaction truncated at the violating
+  // read and committed *is* the witness.
   reserveCapacity();
-  unsigned Idx = Win.beginTxn(Uid);
+  const unsigned Idx = Win.numTxns();
   State.applyBegin(Uid);
   for (uint32_t Pos = 1; Pos != Len; ++Pos) {
     const Event &E = Log.event(Pos);
     unsigned WIdx = WriterIdxScratch[Pos];
     if (E.isRead() && WIdx != NoWriter) {
       ++Stats.ExternalReads;
-      Win.appendEvent(Idx, E);
-      Win.setWriter(Idx, static_cast<uint32_t>(Win.txn(Idx).size()) - 1,
-                    Win.txn(WIdx).uid());
       // No readAdmits probe first: an anomaly is terminal and the state is
       // never consulted after one, so applying the read and testing the
       // verdict is one edge collection instead of two.
       State.applyExternalRead(WIdx, E.Var);
+      if (WIdx != 0)
+        ReadsFrom.set(Idx, WIdx);
       if (State.consistent())
         continue;
       // Commit the truncated transaction at the violating read: the
       // window becomes a standalone witness.
-      Win.appendEvent(Idx, Event::makeCommit());
+      TransactionLog Witness = Log.truncated(Pos + 1);
+      Witness.append(Event::makeCommit());
+      Win.appendLog(std::move(Witness));
       AnomalyUid = Uid;
       Status = StreamStatus::Anomaly;
       if (Diag)
@@ -182,12 +184,12 @@ StreamStatus StreamingChecker::append(const TransactionLog &Log,
                 " (assignment " + Opts.Levels.str() + ")";
       return Status;
     }
-    Win.appendEvent(Idx, E);
     if (E.Kind == EventKind::Commit)
-      State.applyCommit(Win.txn(Idx));
+      State.applyCommit(Log);
     else if (E.Kind == EventKind::Abort)
       State.applyAbort();
   }
+  Win.appendLog(Log);
 
   LastIndexOfSession[Uid.Session] = Uid.Index;
   ++Stats.Txns;
@@ -203,72 +205,54 @@ StreamStatus StreamingChecker::append(const TransactionLog &Log,
 }
 
 void StreamingChecker::reserveCapacity() {
-  if (Win.numTxns() < Capacity)
+  if (Win.numTxns() < State.capacity())
     return;
-  std::vector<unsigned> Keep(Win.numTxns());
-  for (unsigned I = 0; I != Win.numTxns(); ++I)
-    Keep[I] = I;
-  Capacity *= 2;
-  State = ConstraintState(State, Keep, Capacity);
+  State.grow(2 * State.capacity());
+  ReadsFrom.grow(State.capacity());
 }
 
 void StreamingChecker::runGc() {
   ++Stats.GcPasses;
-  unsigned N = Win.numTxns();
+  const unsigned N = Win.numTxns();
 
-  // Latest committed in-window writer of each variable — the E1 test.
-  std::vector<unsigned> LatestWriter(Opts.NumVars, 0);
-  for (unsigned I = 1; I != N; ++I)
-    if (Win.txn(I).isCommitted())
-      for (VarId V : Win.txn(I).writtenVars())
-        LatestWriter[V] = I;
+  // Candidate set: E3 exempts the YoungExempt most recently ingested
+  // transactions (a multi-transaction access pattern must not lose its
+  // writers to a pass firing between its transactions); E1 keeps the
+  // latest committed in-window writer of every variable — the last
+  // writer bit of the variable, since the state's writer bits list the
+  // committed visible writers in block order. Aborted transactions have
+  // no writer bits and stay candidates.
+  Evict.assign(N, 0);
+  for (unsigned I = 1; I + YoungExempt < N; ++I)
+    Evict[I] = 1;
+  for (VarId V = 0; V != Opts.NumVars; ++V)
+    Evict[State.lastCommittedWriter(V)] = 0;
 
-  // Candidate set: E1 over the tenured generation (the YoungExempt most
-  // recently ingested transactions never leave — a multi-transaction
-  // access pattern must not lose its writers to a pass firing between
-  // its transactions), then shrink by E2 in one pass. Un-evicting a
-  // candidate makes it a retainer, but whatever it reaches is reached
-  // directly from its own retaining ancestor — constrains() reads a
-  // transitively closed relation — so no fixpoint iteration is needed.
-  std::vector<uint8_t> Evict(N, 0);
-  for (unsigned I = 1; I + YoungExempt < N; ++I) {
-    const TransactionLog &L = Win.txn(I);
-    if (L.isAborted()) {
-      Evict[I] = 1;
-      continue;
-    }
-    bool Superseded = true;
-    for (VarId V : L.writtenVars())
-      if (LatestWriter[V] == I) {
-        Superseded = false;
-        break;
-      }
-    Evict[I] = Superseded;
-  }
-  for (unsigned I = 1; I + YoungExempt < N; ++I) {
-    if (!Evict[I])
-      continue;
-    for (unsigned J = 1; J != N; ++J)
-      if (!Evict[J] && State.constrains(J, I)) {
-        Evict[I] = 0;
-        break;
-      }
-  }
-
-  unsigned Evicted = 0;
-  std::vector<unsigned> Keep;
-  Keep.reserve(N);
+  // E2 in one pass against the non-candidates: a candidate reached from a
+  // candidate that some retained transaction keeps is reached from that
+  // retained one too — constrainedByAny reads a transitively closed
+  // relation — so testing against the initial retained set needs no
+  // fixpoint.
+  const size_t MaskWords = (N + 63) / 64;
+  Retained.assign(MaskWords, 0);
+  for (unsigned J = 1; J != N; ++J)
+    if (!Evict[J])
+      Retained[J / 64] |= uint64_t(1) << (J % 64);
+  EvictedMask.assign(MaskWords, 0);
+  EvictedUids.clear();
+  Keep.clear();
   Keep.push_back(0);
   for (unsigned I = 1; I != N; ++I) {
+    if (Evict[I] && State.constrainedByAny(I, Retained))
+      Evict[I] = 0;
     if (!Evict[I]) {
       Keep.push_back(I);
       continue;
     }
-    ++Evicted;
-    if (Win.txn(I).isCommitted())
-      for (VarId V : Win.txn(I).writtenVars())
-        EvictedWriterOfVar[V] = 1;
+    EvictedMask[I / 64] |= uint64_t(1) << (I % 64);
+    EvictedUids.push_back(Win.txn(I).uid().packed());
   }
+  const unsigned Evicted = static_cast<unsigned>(EvictedUids.size());
 
   if (!Evicted) {
     // Nothing evictable at this size: back off before trying again, so a
@@ -278,41 +262,33 @@ void StreamingChecker::runGc() {
     return;
   }
 
+  for (VarId V = 0; V != Opts.NumVars; ++V)
+    if (State.committedWriterIn(V, EvictedMask))
+      EvictedWriterOfVar[V] = 1;
+
   // Retained readers may still read from evicted writers — co-evicting
   // them instead would pin the entire wr ancestry of the live frontier
   // and the window would never shrink. The constraints those reads
-  // induced are frozen in the closure (the submatrix copy below keeps
-  // them), so only the dangling read *events* must go: rewrite each such
-  // reader without them before dropping the writers.
-  for (unsigned I = 1; I != N; ++I) {
-    if (Evict[I])
-      continue;
-    const TransactionLog &L = Win.txn(I);
-    uint32_t Len = static_cast<uint32_t>(L.size());
-    bool HasStale = false;
-    for (uint32_t Pos = 0; Pos != Len && !HasStale; ++Pos)
-      if (L.event(Pos).isRead())
-        if (std::optional<TxnUid> W = L.writerOf(Pos))
-          if (!W->isInit() && Evict[*Win.indexOf(*W)])
-            HasStale = true;
-    if (!HasStale)
-      continue;
-    TransactionLog NewLog(L.uid());
-    for (uint32_t Pos = 0; Pos != Len; ++Pos) {
-      const Event &E = L.event(Pos);
-      std::optional<TxnUid> W = L.writerOf(Pos);
-      if (E.isRead() && W && !W->isInit() && Evict[*Win.indexOf(*W)]) {
-        ++Stats.ReadsForgotten;
-        continue;
+  // induced are frozen in the closure (the compaction below keeps them),
+  // so only the dangling read *events* must go: drop them from each such
+  // reader, found by its ReadsFrom row, before dropping the writers.
+  std::sort(EvictedUids.begin(), EvictedUids.end());
+  auto EvictedWriter = [&](TxnUid W) {
+    return std::binary_search(EvictedUids.begin(), EvictedUids.end(),
+                              W.packed());
+  };
+  for (unsigned I : Keep) {
+    const uint64_t *Row = ReadsFrom.rowWords(I);
+    for (size_t W = 0; W != MaskWords; ++W)
+      if (Row[W] & EvictedMask[W]) {
+        Stats.ReadsForgotten += Win.forgetReads(I, EvictedWriter);
+        break;
       }
-      NewLog.append(E);
-      if (W)
-        NewLog.setWriter(static_cast<uint32_t>(NewLog.size()) - 1, *W);
-    }
-    Win.replaceLog(I, std::move(NewLog));
   }
 
-  State = ConstraintState(State, Keep, Capacity);
+  Relation::runsOf(Keep, KeepRuns);
+  State.compact(KeepRuns);
+  ReadsFrom.compact(KeepRuns, N);
   Win.retainBlocks(Keep);
   Stats.Evicted += Evicted;
   trace::bump(trace::Counter::StreamEvictions, Evicted);

@@ -42,20 +42,21 @@
 /// Co-evicting readers would pin the whole wr ancestry of the live
 /// frontier (every retained reader keeps its writer, which keeps *its*
 /// writer, back to the first transaction) and the window would never
-/// shrink. Instead, retained readers are rewritten without their
-/// reads-from-evicted-writers (History::replaceLog): those reads'
+/// shrink. Instead, retained readers forget their reads-from-evicted-
+/// writers, edited in place (History::forgetReads): those reads'
 /// axiom instances are already frozen in the constraint closure, and a
 /// completed transaction's premises never grow again, so dropping the
 /// events loses nothing the state needs — only Explain's re-derivation
 /// over the window sees fewer edges (a subset: conservative).
 ///
-/// The constraint closure is *compacted by submatrix copy*, not rebuilt
-/// from the window history: forced edges between retained transactions
-/// that were derived from evicted readers are genuine constraints of the
-/// full trace and must survive (ConstraintState's compaction ctor). The
-/// copy also composes paths *through* evicted transactions into direct
-/// retained-to-retained edges, which is what keeps cycle detection
-/// complete after their interior nodes are gone.
+/// The constraint closure is *compacted by submatrix restriction*, in
+/// place, not rebuilt from the window history: forced edges between
+/// retained transactions that were derived from evicted readers are
+/// genuine constraints of the full trace and must survive
+/// (ConstraintState::compact). The closure already holds paths
+/// *through* evicted transactions as direct retained-to-retained edges,
+/// which is what keeps cycle detection complete after their interior
+/// nodes are gone.
 ///
 /// **What is no longer decidable after GC.** A read naming an evicted
 /// writer cannot be checked (its premise left the window) → StaleRead.
@@ -179,10 +180,23 @@ private:
   /// Next window size (non-init txns) at which GC fires; grows with
   /// hysteresis when a pass cannot evict enough.
   unsigned NextGcAt = 0;
-  /// Current ConstraintState capacity.
-  unsigned Capacity = 0;
+  /// The window's wr edges from non-init writers, over window indices
+  /// (row = reader): a GC pass edits only the readers whose row meets the
+  /// evicted set. Compacted and grown along with State.
+  Relation ReadsFrom;
   /// Scratch for append(): resolved writer index per event position.
   std::vector<unsigned> WriterIdxScratch;
+  /// runGc scratch, reused across passes so a pass allocates nothing:
+  /// per window index whether it leaves; the non-candidates and the
+  /// evicted as bitsets over window indices; the evicted uids (packed,
+  /// sorted for lookup); the retained indices in ascending order, and as
+  /// runs.
+  std::vector<uint8_t> Evict;
+  std::vector<uint64_t> Retained;
+  std::vector<uint64_t> EvictedMask;
+  std::vector<uint64_t> EvictedUids;
+  std::vector<unsigned> Keep;
+  std::vector<Relation::Run> KeepRuns;
 };
 
 } // namespace txdpor

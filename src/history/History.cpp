@@ -127,28 +127,27 @@ void History::retainBlocks(const std::vector<unsigned> &Keep) {
   assert(!Keep.empty() && Keep.front() == 0 &&
          "the initial transaction must be retained");
   invalidateRelationCaches();
-  std::vector<LogPtr> NewLogs;
-  NewLogs.reserve(Keep.size());
-  for (size_t I = 0; I != Keep.size(); ++I) {
+  const unsigned K = static_cast<unsigned>(Keep.size());
+  // Evicted uids leave the index first, while their logs are still here.
+  for (unsigned Old = 0, J = 0, E = numTxns(); Old != E; ++Old) {
+    if (J != K && Keep[J] == Old) {
+      ++J;
+      continue;
+    }
+    IndexByUid.erase(Logs[Old]->uid().packed());
+  }
+  // Keep ascends, so every retained log moves down (or stays) and never
+  // onto a slot a later one still has to be read from.
+  for (unsigned I = 0; I != K; ++I) {
     assert(Keep[I] < Logs.size() && "retained index out of range");
     assert((I == 0 || Keep[I - 1] < Keep[I]) &&
            "retained indices must be strictly ascending");
-    NewLogs.push_back(std::move(Logs[Keep[I]]));
+    if (Keep[I] != I)
+      Logs[I] = std::move(Logs[Keep[I]]);
+    IndexByUid.find(Logs[I]->uid().packed())->second = I;
   }
-  Logs = std::move(NewLogs);
-  IndexByUid.clear();
-  for (unsigned I = 0, E = numTxns(); I != E; ++I)
-    IndexByUid.emplace(Logs[I]->uid().packed(), I);
+  Logs.resize(K);
   checkWellFormed(); // Debug: every retained wr writer is still present.
-}
-
-void History::replaceLog(unsigned Idx, TransactionLog Log) {
-  assert(Idx < Logs.size() && "transaction index out of range");
-  assert(Log.uid() == Logs[Idx]->uid() &&
-         "replaceLog must preserve the transaction identity");
-  invalidateRelationCaches();
-  Logs[Idx] = std::make_shared<TransactionLog>(std::move(Log));
-  checkWellFormed();
 }
 
 TransactionLog &History::mutableLog(unsigned Idx) {

@@ -139,20 +139,24 @@ public:
   /// Drops every block whose index is not in \p Keep (strictly ascending,
   /// must retain index 0 — the initial transaction) and renumbers the
   /// remainder, preserving relative block order. This is the windowed
-  /// eviction hook of the streaming checker: the COW spine makes it a
-  /// shared_ptr shuffle, no event is copied. Every wr writer of a
-  /// retained read must itself be retained (asserted via
-  /// checkWellFormed in debug builds) — the streaming GC first rewrites
-  /// retained readers via replaceLog to forget reads of evicted writers.
+  /// eviction hook of the streaming checker: retained logs move down the
+  /// spine in place and the uid index is renumbered in place, so no event
+  /// is copied and nothing is allocated. Every wr writer of a retained
+  /// read must itself be retained (asserted via checkWellFormed in debug
+  /// builds) — the streaming GC first drops retained readers' reads of
+  /// evicted writers with forgetReads.
   void retainBlocks(const std::vector<unsigned> &Keep);
 
-  /// Replaces the log at \p Idx wholesale with \p Log, which must carry
-  /// the same uid and keep the history well-formed. The streaming GC uses
-  /// this to drop a retained reader's reads of evicted writers before
+  /// Removes the reads of block \p Idx whose writer satisfies \p Drop and
+  /// returns how many went; the log is edited in place when this history
+  /// solely owns it (copy-on-write otherwise). The streaming GC uses this
+  /// to forget a retained reader's reads of evicted writers before
   /// retainBlocks (the constraints those reads induced are frozen in the
   /// checker's closure; the events themselves would otherwise dangle).
-  /// Copy-on-write friendly: only this history's spine slot changes.
-  void replaceLog(unsigned Idx, TransactionLog Log);
+  template <typename PredT> unsigned forgetReads(unsigned Idx, PredT Drop) {
+    assert(Idx < Logs.size() && "transaction index out of range");
+    return mutableLog(Idx).eraseReadsFrom(Drop);
+  }
 
   //===--------------------------------------------------------------------===
   // Relations (over transaction indices in the current block order)

@@ -7,6 +7,8 @@
 
 #include "history/Serialize.h"
 
+#include "support/Parse.h"
+
 #include <sstream>
 
 using namespace txdpor;
@@ -58,24 +60,24 @@ bool fail(std::string *Error, const std::string &Message) {
 
 } // namespace
 
-bool txdpor::parseUidToken(const std::string &Token, TxnUid &Out,
+bool txdpor::parseUidToken(std::string_view Token, TxnUid &Out,
                            std::string *Error) {
   if (Token == "init") {
     Out = TxnUid::init();
     return true;
   }
-  std::string Body = Token;
+  std::string_view Body = Token;
   if (!Body.empty() && Body[0] == 't')
-    Body = Body.substr(1);
+    Body.remove_prefix(1);
   size_t Dot = Body.find('.');
-  if (Dot == std::string::npos || Dot == 0 || Dot + 1 == Body.size())
-    return fail(Error, "bad transaction uid '" + Token + "'");
-  try {
-    Out.Session = static_cast<uint32_t>(std::stoul(Body.substr(0, Dot)));
-    Out.Index = static_cast<uint32_t>(std::stoul(Body.substr(Dot + 1)));
-  } catch (...) {
-    return fail(Error, "bad transaction uid '" + Token + "'");
+  std::optional<uint32_t> Session, Index;
+  if (Dot != std::string_view::npos) {
+    Session = parseDecimalU32(Body.substr(0, Dot));
+    Index = parseDecimalU32(Body.substr(Dot + 1));
   }
+  if (!Session || !Index || *Session == TxnUid::InitSession)
+    return fail(Error, "bad transaction uid '" + std::string(Token) + "'");
+  Out = TxnUid{*Session, *Index};
   return true;
 }
 
@@ -86,13 +88,12 @@ bool parseUid(const std::string &Token, TxnUid &Out, std::string *Error) {
 }
 
 bool parseVar(const std::string &Token, VarId &Out, std::string *Error) {
-  if (Token.size() < 2 || Token[0] != 'x')
+  std::optional<uint32_t> Var;
+  if (!Token.empty() && Token[0] == 'x')
+    Var = parseDecimalU32(std::string_view(Token).substr(1));
+  if (!Var)
     return fail(Error, "bad variable '" + Token + "'");
-  try {
-    Out = static_cast<VarId>(std::stoul(Token.substr(1)));
-  } catch (...) {
-    return fail(Error, "bad variable '" + Token + "'");
-  }
+  Out = *Var;
   return true;
 }
 

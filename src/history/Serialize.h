@@ -30,14 +30,17 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace txdpor {
 
 /// Parses a transaction-uid token — "init", "<session>.<index>" or
 /// "t<session>.<index>" — the spelling shared by the history format, the
-/// litmus repro grammar and the jsonl trace records. Returns false with a
+/// litmus repro grammar and the jsonl trace records. Session and index are
+/// decimal digits only, each at most 2^32 - 1; the init session's id is
+/// not a session (init is spelled only "init"). Returns false with a
 /// diagnostic in \p Error on malformed input.
-bool parseUidToken(const std::string &Token, TxnUid &Out,
+bool parseUidToken(std::string_view Token, TxnUid &Out,
                    std::string *Error = nullptr);
 
 /// Serializes one transaction to its "txn <uid> <events...>" line (no

@@ -35,6 +35,15 @@ public:
   TransactionLog(TxnUid Uid) : Uid(Uid) {}
 
   TxnUid uid() const { return Uid; }
+
+  /// Empties the log and renames it \p NewUid, keeping the event storage:
+  /// a reader that refills one record per line allocates nothing once the
+  /// record has grown to its longest.
+  void reset(TxnUid NewUid) {
+    Uid = NewUid;
+    Events.clear();
+    Writers.clear();
+  }
   bool isInit() const { return Uid.isInit(); }
 
   /// Events in program order. events()[0] is begin (for non-init logs).
@@ -133,6 +142,23 @@ public:
       if (Events[P].isWrite() && Events[P].Var == Var)
         return P;
     return std::nullopt;
+  }
+
+  /// Removes, in place, every read whose assigned writer satisfies
+  /// \p Drop; the other events keep their order. Returns how many went.
+  template <typename PredT> unsigned eraseReadsFrom(PredT Drop) {
+    size_t Out = 0;
+    for (size_t P = 0, E = Events.size(); P != E; ++P) {
+      if (Events[P].isRead() && Writers[P] && Drop(*Writers[P]))
+        continue;
+      Events[Out] = Events[P];
+      Writers[Out] = Writers[P];
+      ++Out;
+    }
+    unsigned Erased = static_cast<unsigned>(Events.size() - Out);
+    Events.resize(Out);
+    Writers.resize(Out);
+    return Erased;
   }
 
   /// Returns a copy truncated to the first \p Len events (a po-prefix).

@@ -8,11 +8,9 @@
 #include "support/Json.h"
 
 #include <cassert>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 using namespace txdpor;
 
@@ -217,262 +215,307 @@ const JsonValue *JsonValue::find(const std::string &Key) const {
   return nullptr;
 }
 
-namespace {
+bool JsonLexer::fail(const char *Message) {
+  if (Err.empty())
+    Err = std::string(Message) + " (at offset " + std::to_string(Pos) + ")";
+  return false;
+}
 
-/// Recursive-descent parser over the RFC 8259 grammar. Depth-bounded so
-/// adversarial nesting cannot overflow the C++ stack.
-class JsonParser {
-public:
-  explicit JsonParser(const std::string &Text) : Text(Text) {}
-
-  std::unique_ptr<JsonValue> run(std::string *Error) {
-    auto Root = std::make_unique<JsonValue>();
-    if (!parseValue(*Root, 0)) {
-      report(Error);
-      return nullptr;
-    }
-    skipWhitespace();
-    if (Pos != Text.size()) {
-      Err = "trailing characters after the document";
-      report(Error);
-      return nullptr;
-    }
-    return Root;
-  }
-
-private:
-  static constexpr unsigned MaxDepth = 256;
-
-  void report(std::string *Error) {
-    if (Error)
-      *Error = Err + " (at offset " + std::to_string(Pos) + ")";
-  }
-
-  void skipWhitespace() {
-    while (Pos != Text.size() &&
-           (Text[Pos] == ' ' || Text[Pos] == '\t' || Text[Pos] == '\n' ||
-            Text[Pos] == '\r'))
+bool JsonLexer::nextItem(char Close, bool &First) {
+  char C = peek();
+  if (First) {
+    First = false;
+    if (C == Close) {
       ++Pos;
+      return false;
+    }
+    return true;
   }
-
-  bool fail(const char *Message) {
-    Err = Message;
+  if (C == ',') {
+    ++Pos;
+    return true;
+  }
+  if (C == Close) {
+    ++Pos;
     return false;
   }
+  if (Pos == Text.size())
+    return fail(Close == '}' ? "unterminated object" : "unterminated array");
+  return fail(Close == '}' ? "expected ',' or '}' in object"
+                           : "expected ',' or ']' in array");
+}
 
-  bool literal(const char *Word) {
-    size_t Len = std::strlen(Word);
-    if (Text.compare(Pos, Len, Word) != 0)
-      return fail("invalid literal");
-    Pos += Len;
+bool JsonLexer::readString(std::string_view &Out) {
+  if (peek() != '"')
+    return fail("expected a string");
+  const size_t Start = ++Pos;
+  // Common case: no escapes, so the token is a view of the text.
+  while (Pos != Text.size() && Text[Pos] != '"' && Text[Pos] != '\\') {
+    if (static_cast<unsigned char>(Text[Pos]) < 0x20)
+      return fail("unescaped control character in string");
+    ++Pos;
+  }
+  if (Pos == Text.size())
+    return fail("unterminated string");
+  if (Text[Pos] == '"') {
+    Out = Text.substr(Start, Pos++ - Start);
     return true;
   }
-
-  bool parseString(std::string &Out) {
-    ++Pos; // Opening quote.
-    Out.clear();
-    while (Pos != Text.size() && Text[Pos] != '"') {
-      char C = Text[Pos];
-      if (static_cast<unsigned char>(C) < 0x20)
-        return fail("unescaped control character in string");
-      if (C != '\\') {
-        Out += C;
-        ++Pos;
-        continue;
-      }
-      if (++Pos == Text.size())
-        return fail("unterminated escape");
-      switch (Text[Pos]) {
-      case '"':
-        Out += '"';
-        break;
-      case '\\':
-        Out += '\\';
-        break;
-      case '/':
-        Out += '/';
-        break;
-      case 'b':
-        Out += '\b';
-        break;
-      case 'f':
-        Out += '\f';
-        break;
-      case 'n':
-        Out += '\n';
-        break;
-      case 'r':
-        Out += '\r';
-        break;
-      case 't':
-        Out += '\t';
-        break;
-      case 'u': {
-        if (Pos + 4 >= Text.size())
-          return fail("truncated \\u escape");
-        unsigned Code = 0;
-        for (int I = 0; I != 4; ++I) {
-          char H = Text[Pos + 1 + I];
-          Code <<= 4;
-          if (H >= '0' && H <= '9')
-            Code |= H - '0';
-          else if (H >= 'a' && H <= 'f')
-            Code |= H - 'a' + 10;
-          else if (H >= 'A' && H <= 'F')
-            Code |= H - 'A' + 10;
-          else
-            return fail("bad hex digit in \\u escape");
-        }
-        Pos += 4;
-        // UTF-8-encode the code point (surrogate pairs are passed through
-        // individually — the writer never emits them).
-        if (Code < 0x80) {
-          Out += static_cast<char>(Code);
-        } else if (Code < 0x800) {
-          Out += static_cast<char>(0xC0 | (Code >> 6));
-          Out += static_cast<char>(0x80 | (Code & 0x3F));
-        } else {
-          Out += static_cast<char>(0xE0 | (Code >> 12));
-          Out += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
-          Out += static_cast<char>(0x80 | (Code & 0x3F));
-        }
-        break;
-      }
-      default:
-        return fail("unknown escape");
-      }
+  Decoded.assign(Text.data() + Start, Pos - Start);
+  while (Pos != Text.size() && Text[Pos] != '"') {
+    char C = Text[Pos];
+    if (static_cast<unsigned char>(C) < 0x20)
+      return fail("unescaped control character in string");
+    if (C != '\\') {
+      Decoded += C;
       ++Pos;
+      continue;
     }
-    if (Pos == Text.size())
-      return fail("unterminated string");
-    ++Pos; // Closing quote.
-    return true;
+    if (++Pos == Text.size())
+      return fail("unterminated escape");
+    switch (Text[Pos]) {
+    case '"':
+      Decoded += '"';
+      break;
+    case '\\':
+      Decoded += '\\';
+      break;
+    case '/':
+      Decoded += '/';
+      break;
+    case 'b':
+      Decoded += '\b';
+      break;
+    case 'f':
+      Decoded += '\f';
+      break;
+    case 'n':
+      Decoded += '\n';
+      break;
+    case 'r':
+      Decoded += '\r';
+      break;
+    case 't':
+      Decoded += '\t';
+      break;
+    case 'u': {
+      if (Pos + 4 >= Text.size())
+        return fail("truncated \\u escape");
+      unsigned Code = 0;
+      for (int I = 0; I != 4; ++I) {
+        char H = Text[Pos + 1 + I];
+        Code <<= 4;
+        if (H >= '0' && H <= '9')
+          Code |= H - '0';
+        else if (H >= 'a' && H <= 'f')
+          Code |= H - 'a' + 10;
+        else if (H >= 'A' && H <= 'F')
+          Code |= H - 'A' + 10;
+        else
+          return fail("bad hex digit in \\u escape");
+      }
+      Pos += 4;
+      // UTF-8-encode the code point (surrogate pairs are passed through
+      // individually — the writer never emits them).
+      if (Code < 0x80) {
+        Decoded += static_cast<char>(Code);
+      } else if (Code < 0x800) {
+        Decoded += static_cast<char>(0xC0 | (Code >> 6));
+        Decoded += static_cast<char>(0x80 | (Code & 0x3F));
+      } else {
+        Decoded += static_cast<char>(0xE0 | (Code >> 12));
+        Decoded += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
+        Decoded += static_cast<char>(0x80 | (Code & 0x3F));
+      }
+      break;
+    }
+    default:
+      return fail("unknown escape");
+    }
+    ++Pos;
   }
+  if (Pos == Text.size())
+    return fail("unterminated string");
+  ++Pos; // Closing quote.
+  Out = Decoded;
+  return true;
+}
 
-  bool parseNumber(JsonValue &Out) {
-    size_t Start = Pos;
-    if (Pos != Text.size() && Text[Pos] == '-')
+bool JsonLexer::readKey(std::string_view &Out) {
+  if (peek() != '"')
+    return fail("expected object key");
+  if (!readString(Out))
+    return false;
+  if (!consume(':'))
+    return fail("expected ':' after key");
+  return true;
+}
+
+bool JsonLexer::readNumber(double &Out) {
+  skipWhitespace();
+  auto IsDigit = [&](size_t I) {
+    return I < Text.size() && Text[I] >= '0' && Text[I] <= '9';
+  };
+  const size_t Start = Pos;
+  bool Negative = Pos != Text.size() && Text[Pos] == '-';
+  if (Negative)
+    ++Pos;
+  // int = "0" / digit1-9 *DIGIT: a leading zero stands alone.
+  if (!IsDigit(Pos))
+    return fail("malformed number");
+  const size_t IntStart = Pos;
+  if (Text[Pos++] != '0')
+    while (IsDigit(Pos))
       ++Pos;
-    while (Pos != Text.size() &&
-           (std::isdigit(static_cast<unsigned char>(Text[Pos])) ||
-            Text[Pos] == '.' || Text[Pos] == 'e' || Text[Pos] == 'E' ||
-            Text[Pos] == '+' || Text[Pos] == '-'))
-      ++Pos;
-    char *End = nullptr;
-    std::string Token = Text.substr(Start, Pos - Start);
-    double V = std::strtod(Token.c_str(), &End);
-    if (End != Token.c_str() + Token.size() || Token.empty())
+  const size_t IntDigits = Pos - IntStart;
+  bool Integer = true;
+  if (Pos != Text.size() && Text[Pos] == '.') {
+    Integer = false;
+    if (!IsDigit(++Pos))
       return fail("malformed number");
-    Out = JsonValue::makeNumber(V);
+    while (IsDigit(Pos))
+      ++Pos;
+  }
+  if (Pos != Text.size() && (Text[Pos] == 'e' || Text[Pos] == 'E')) {
+    Integer = false;
+    ++Pos;
+    if (Pos != Text.size() && (Text[Pos] == '+' || Text[Pos] == '-'))
+      ++Pos;
+    if (!IsDigit(Pos))
+      return fail("malformed number");
+    while (IsDigit(Pos))
+      ++Pos;
+  }
+  if (IsDigit(Pos))
+    return fail("malformed number"); // A digit after a lone leading zero.
+  if (Integer && IntDigits <= 19) {
+    // Below 10^19 the digits fit a uint64_t, and its conversion rounds to
+    // nearest-even like strtod does on the same integer.
+    uint64_t V = 0;
+    for (size_t I = IntStart; I != Pos; ++I)
+      V = V * 10 + static_cast<uint64_t>(Text[I] - '0');
+    Out = Negative ? -static_cast<double>(V) : static_cast<double>(V);
     return true;
   }
+  Decoded.assign(Text.data() + Start, Pos - Start);
+  Out = std::strtod(Decoded.c_str(), nullptr);
+  return true;
+}
 
-  bool parseValue(JsonValue &Out, unsigned Depth) {
-    if (Depth > MaxDepth)
-      return fail("nesting too deep");
-    skipWhitespace();
+bool JsonLexer::literal(std::string_view Word) {
+  if (Text.substr(Pos, Word.size()) != Word)
+    return fail("invalid literal");
+  Pos += Word.size();
+  return true;
+}
+
+bool JsonLexer::skipValue(unsigned Depth) {
+  if (Depth > MaxDepth)
+    return fail("nesting too deep");
+  std::string_view Ignored;
+  double Number;
+  switch (peek()) {
+  case '{':
+    ++Pos;
+    for (bool First = true; nextItem('}', First);)
+      if (!readKey(Ignored) || !skipValue(Depth + 1))
+        return false;
+    return !failed();
+  case '[':
+    ++Pos;
+    for (bool First = true; nextItem(']', First);)
+      if (!skipValue(Depth + 1))
+        return false;
+    return !failed();
+  case '"':
+    return readString(Ignored);
+  case 't':
+    return literal("true");
+  case 'f':
+    return literal("false");
+  case 'n':
+    return literal("null");
+  case '\0':
     if (Pos == Text.size())
       return fail("unexpected end of input");
-    switch (Text[Pos]) {
-    case '{': {
-      ++Pos;
-      Out = JsonValue::makeObject();
-      skipWhitespace();
-      if (Pos != Text.size() && Text[Pos] == '}') {
-        ++Pos;
-        return true;
-      }
-      for (;;) {
-        skipWhitespace();
-        if (Pos == Text.size() || Text[Pos] != '"')
-          return fail("expected object key");
-        std::string Key;
-        if (!parseString(Key))
-          return false;
-        skipWhitespace();
-        if (Pos == Text.size() || Text[Pos] != ':')
-          return fail("expected ':' after key");
-        ++Pos;
-        JsonValue Member;
-        if (!parseValue(Member, Depth + 1))
-          return false;
-        Out.members().emplace_back(std::move(Key), std::move(Member));
-        skipWhitespace();
-        if (Pos == Text.size())
-          return fail("unterminated object");
-        if (Text[Pos] == ',') {
-          ++Pos;
-          continue;
-        }
-        if (Text[Pos] == '}') {
-          ++Pos;
-          return true;
-        }
-        return fail("expected ',' or '}' in object");
-      }
-    }
-    case '[': {
-      ++Pos;
-      Out = JsonValue::makeArray();
-      skipWhitespace();
-      if (Pos != Text.size() && Text[Pos] == ']') {
-        ++Pos;
-        return true;
-      }
-      for (;;) {
-        JsonValue Elem;
-        if (!parseValue(Elem, Depth + 1))
-          return false;
-        Out.elements().push_back(std::move(Elem));
-        skipWhitespace();
-        if (Pos == Text.size())
-          return fail("unterminated array");
-        if (Text[Pos] == ',') {
-          ++Pos;
-          continue;
-        }
-        if (Text[Pos] == ']') {
-          ++Pos;
-          return true;
-        }
-        return fail("expected ',' or ']' in array");
-      }
-    }
-    case '"': {
-      std::string S;
-      if (!parseString(S))
-        return false;
-      Out = JsonValue::makeString(std::move(S));
-      return true;
-    }
-    case 't':
-      if (!literal("true"))
-        return false;
-      Out = JsonValue::makeBool(true);
-      return true;
-    case 'f':
-      if (!literal("false"))
-        return false;
-      Out = JsonValue::makeBool(false);
-      return true;
-    case 'n':
-      if (!literal("null"))
-        return false;
-      Out = JsonValue();
-      return true;
-    default:
-      return parseNumber(Out);
-    }
+    [[fallthrough]];
+  default:
+    return readNumber(Number);
   }
+}
 
-  const std::string &Text;
-  size_t Pos = 0;
-  std::string Err;
-};
+namespace {
+
+/// Builds the JsonValue tree of one value at depth \p Depth, mirroring
+/// JsonLexer::skipValue token for token.
+bool buildValue(JsonLexer &L, JsonValue &Out, unsigned Depth) {
+  if (Depth > JsonLexer::MaxDepth)
+    return L.fail("nesting too deep");
+  switch (L.peek()) {
+  case '{': {
+    L.consume('{');
+    Out = JsonValue::makeObject();
+    for (bool First = true; L.nextItem('}', First);) {
+      std::string_view Key;
+      if (!L.readKey(Key))
+        return false;
+      Out.members().emplace_back(std::string(Key), JsonValue());
+      if (!buildValue(L, Out.members().back().second, Depth + 1))
+        return false;
+    }
+    return !L.failed();
+  }
+  case '[': {
+    L.consume('[');
+    Out = JsonValue::makeArray();
+    for (bool First = true; L.nextItem(']', First);) {
+      Out.elements().emplace_back();
+      if (!buildValue(L, Out.elements().back(), Depth + 1))
+        return false;
+    }
+    return !L.failed();
+  }
+  case '"': {
+    std::string_view S;
+    if (!L.readString(S))
+      return false;
+    Out = JsonValue::makeString(std::string(S));
+    return true;
+  }
+  case 't':
+  case 'f': {
+    bool B = L.peek() == 't';
+    if (!L.skipValue(Depth))
+      return false;
+    Out = JsonValue::makeBool(B);
+    return true;
+  }
+  case 'n':
+    return L.skipValue(Depth); // Out stays null.
+  default: {
+    double N;
+    if (L.atEnd())
+      return L.fail("unexpected end of input");
+    if (!L.readNumber(N))
+      return false;
+    Out = JsonValue::makeNumber(N);
+    return true;
+  }
+  }
+}
 
 } // namespace
 
-std::unique_ptr<JsonValue> txdpor::parseJson(const std::string &Text,
+std::unique_ptr<JsonValue> txdpor::parseJson(std::string_view Text,
                                              std::string *Error) {
-  return JsonParser(Text).run(Error);
+  JsonLexer L(Text);
+  auto Root = std::make_unique<JsonValue>();
+  if (buildValue(L, *Root, 0) && !L.atEnd())
+    L.fail("trailing characters after the document");
+  if (L.failed()) {
+    if (Error)
+      *Error = L.error();
+    return nullptr;
+  }
+  return Root;
 }

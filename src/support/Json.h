@@ -10,8 +10,9 @@
 /// tables in a machine-readable form next to the human-readable ones
 /// (e.g. bench_parallel_scaling's BENCH_parallel.json) and future PRs can
 /// track trajectories without scraping text tables — plus a matching
-/// minimal reader (JsonValue / parseJson) used by the trace tests to
-/// validate the Chrome trace-event dumps the tracing layer emits.
+/// reader: a pull lexer (JsonLexer) under both the tree builder
+/// (JsonValue / parseJson, which the trace tests use to validate the
+/// Chrome trace-event dumps) and trace_io's tree-free JSONL records.
 ///
 /// \code
 ///   JsonWriter J(OS);
@@ -32,6 +33,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -123,10 +125,101 @@ private:
   std::vector<std::pair<std::string, JsonValue>> Members;
 };
 
+/// A pull lexer over one RFC 8259 text: the caller asks for the token it
+/// expects next and the lexer checks and consumes it. parseJson builds a
+/// JsonValue tree on it; tree-free readers (trace_io's JSONL records)
+/// consume values straight into their own structures. The first error
+/// sticks: error() holds its message and the byte offset it was found at.
+///
+/// \code
+///   JsonLexer L(Text);
+///   if (!L.consume('{')) ...
+///   for (bool First = true; L.nextItem('}', First);) {
+///     std::string_view Key;
+///     if (!L.readKey(Key) || !L.skipValue(1)) ...
+///   }
+///   if (L.failed() || !L.atEnd()) ...
+/// \endcode
+class JsonLexer {
+public:
+  /// Deepest value nesting accepted (the document root is depth 0), so
+  /// adversarial nesting cannot overflow the C++ stack.
+  static constexpr unsigned MaxDepth = 256;
+
+  explicit JsonLexer(std::string_view Text) : Text(Text) {}
+
+  /// Skips whitespace and returns the next character, '\0' at the end.
+  char peek() {
+    skipWhitespace();
+    return Pos != Text.size() ? Text[Pos] : '\0';
+  }
+
+  /// Skips whitespace; consumes \p C and returns true if it comes next.
+  bool consume(char C) {
+    if (peek() != C)
+      return false;
+    ++Pos;
+    return true;
+  }
+
+  /// Steps through the items of the array or object whose opening bracket
+  /// was just consumed, \p Close being its closing one. Call it before
+  /// every item with \p First initially true: it consumes the ',' between
+  /// items and returns true when an item follows, false once \p Close is
+  /// consumed or on a syntax error (then failed() is true).
+  bool nextItem(char Close, bool &First);
+
+  /// Reads a string token. \p Out views the text when the string has no
+  /// escapes, otherwise a decoded copy that the next readString or
+  /// readKey call overwrites.
+  bool readString(std::string_view &Out);
+
+  /// Reads an object key and the ':' after it.
+  bool readKey(std::string_view &Out);
+
+  /// Reads a number token in the strict RFC 8259 grammar (no leading
+  /// zeros, '+' or bare '.'). Integers of up to 19 digits convert without
+  /// strtod, rounding to the nearest double exactly as strtod does.
+  bool readNumber(double &Out);
+
+  /// Consumes one value at nesting depth \p Depth, checking its syntax.
+  bool skipValue(unsigned Depth);
+
+  /// Skips whitespace; true when no text is left.
+  bool atEnd() { return peek() == '\0' && Pos == Text.size(); }
+
+  /// Records \p Message at the current offset (the first error wins) and
+  /// returns false.
+  bool fail(const char *Message);
+
+  bool failed() const { return !Err.empty(); }
+  /// The first error and its offset, "<message> (at offset N)".
+  const std::string &error() const { return Err; }
+
+  /// Byte offset of the next unread character.
+  size_t offset() const { return Pos; }
+  /// Moves back to \p Offset, a value start offset() reported earlier.
+  void seek(size_t Offset) { Pos = Offset; }
+
+private:
+  void skipWhitespace() {
+    while (Pos != Text.size() && (Text[Pos] == ' ' || Text[Pos] == '\t' ||
+                                  Text[Pos] == '\n' || Text[Pos] == '\r'))
+      ++Pos;
+  }
+  bool literal(std::string_view Word);
+
+  std::string_view Text;
+  size_t Pos = 0;
+  std::string Err;
+  /// Decoded text of the last escaped string.
+  std::string Decoded;
+};
+
 /// Parses \p Text as one JSON document (trailing whitespace allowed,
 /// trailing garbage rejected). Returns the root value, or nullptr with a
 /// position-annotated message in \p Error (when non-null).
-std::unique_ptr<JsonValue> parseJson(const std::string &Text,
+std::unique_ptr<JsonValue> parseJson(std::string_view Text,
                                      std::string *Error = nullptr);
 
 } // namespace txdpor

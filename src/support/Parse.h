@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace txdpor {
 
@@ -66,6 +67,24 @@ parseBoundedUInt(const std::string &Tok, uint64_t Max = 0xffffffffu) {
   if (!V || *V > Max || *V > 0xffffffffu)
     return std::nullopt;
   return static_cast<unsigned>(*V);
+}
+
+/// Parses a token of decimal digits only — no sign, no whitespace, nothing
+/// after them — whose value fits 32 bits: the uid and variable spelling of
+/// the history and trace grammars, where strtoul's sign handling and
+/// silent truncation to 32 bits once let "-1.5" and "0.4294967297" pass.
+inline std::optional<uint32_t> parseDecimalU32(std::string_view Tok) {
+  if (Tok.empty())
+    return std::nullopt;
+  uint64_t V = 0;
+  for (char C : Tok) {
+    if (C < '0' || C > '9')
+      return std::nullopt;
+    V = V * 10 + static_cast<uint64_t>(C - '0');
+    if (V > 0xffffffffu)
+      return std::nullopt;
+  }
+  return static_cast<uint32_t>(V);
 }
 
 } // namespace txdpor

@@ -74,11 +74,31 @@ public:
     return row(I);
   }
 
-  /// Returns the restriction to the elements \p Keep (strictly ascending),
-  /// renumbered so Keep[I] becomes I, over a universe of \p NewSize >=
-  /// Keep.size() elements. Costs one pass over the kept rows' pairs.
-  Relation restrictedTo(const std::vector<unsigned> &Keep,
-                        unsigned NewSize) const;
+  /// A maximal block of consecutive retained elements: old elements
+  /// [From, From + Len) become [To, To + Len).
+  struct Run {
+    unsigned From, To, Len;
+  };
+
+  /// Splits \p Keep (strictly ascending) into its maximal runs, in order.
+  static void runsOf(const std::vector<unsigned> &Keep, std::vector<Run> &Out);
+
+  /// Restricts the relation to the elements the ascending \p Runs retain
+  /// (runsOf), in place: each retained element and each retained column
+  /// moves down to its new index, the universe keeps its size and every
+  /// pair beyond the retained elements is cleared. Pairs are read only
+  /// from rows below \p OldSize. Allocates nothing.
+  void compact(const std::vector<Run> &Runs, unsigned OldSize);
+
+  /// Widens the universe to \p NewSize >= size() elements, keeping every
+  /// pair.
+  void grow(unsigned NewSize);
+
+  /// The column half of compact() over one raw bit row of \p Words words,
+  /// in place: every run's bits move down as a block, and every bit past
+  /// the last run is cleared.
+  static void compactBits(uint64_t *Row, unsigned Words,
+                          const std::vector<Run> &Runs);
 
   /// Adds every pair of \p Other into this relation. Universes must match.
   void unionWith(const Relation &Other) {

@@ -32,17 +32,14 @@ std::string uidToken(TxnUid Uid) {
   return std::to_string(Uid.Session) + "." + std::to_string(Uid.Index);
 }
 
-/// Extracts a non-negative integer below \p Limit from a JSON number.
-bool asUnsigned(const JsonValue &V, uint64_t Limit, unsigned &Out,
-                std::string *Error, const char *What) {
-  if (V.kind() != JsonValue::Kind::Number)
-    return fail(Error, std::string(What) + " must be a number");
-  double N = V.asNumber();
-  if (N < 0 || N >= static_cast<double>(Limit) || N != std::floor(N))
-    return fail(Error, std::string(What) + " out of range");
-  Out = static_cast<unsigned>(N);
-  return true;
+/// A non-negative integer below \p Limit, checked the way a JSON reader
+/// sees it: a double that must be integral and in range.
+bool inRange(double N, uint64_t Limit) {
+  return N >= 0 && N < static_cast<double>(Limit) && N == std::floor(N);
 }
+
+/// True if \p C can start a JSON number.
+bool startsNumber(char C) { return C == '-' || (C >= '0' && C <= '9'); }
 
 std::string levelSpecText(const LevelAssignment &Levels, unsigned Sessions) {
   std::string Text = isolationLevelName(Levels.defaultLevel());
@@ -116,92 +113,140 @@ std::string trace_io::writeTraceTxn(const TransactionLog &Log, TraceFormat F) {
   return OS.str();
 }
 
-std::optional<TransactionLog> trace_io::parseJsonlTxn(const std::string &Line,
-                                                      std::string *Error) {
-  std::string JsonError;
-  std::unique_ptr<JsonValue> Doc = parseJson(Line, &JsonError);
-  if (!Doc) {
-    fail(Error, "bad JSON: " + JsonError);
-    return std::nullopt;
-  }
-  if (Doc->kind() != JsonValue::Kind::Object) {
-    fail(Error, "trace record is not a JSON object");
-    return std::nullopt;
-  }
-  const JsonValue *S = Doc->find("s"), *I = Doc->find("i"),
-                  *Ops = Doc->find("ops");
-  unsigned Session = 0, Index = 0;
-  if (!S || !I) {
-    fail(Error, std::string("missing \"") + (!S ? "s" : "i") + "\" field");
-    return std::nullopt;
-  }
-  if (!asUnsigned(*S, TxnUid::InitSession, Session, Error, "session \"s\"") ||
-      !asUnsigned(*I, uint64_t(1) << 32, Index, Error, "index \"i\""))
-    return std::nullopt;
-  if (!Ops || Ops->kind() != JsonValue::Kind::Array) {
-    fail(Error, "missing \"ops\" array");
-    return std::nullopt;
-  }
-  TransactionLog Log(TxnUid{Session, Index});
-  Log.append(Event::makeBegin());
-  for (const JsonValue &Op : Ops->elements()) {
-    const auto &E = Op.elements();
-    if (Op.kind() != JsonValue::Kind::Array || E.empty() ||
-        E[0].kind() != JsonValue::Kind::String) {
-      fail(Error, "malformed op (expected [\"r\"|\"w\", ...])");
-      return std::nullopt;
-    }
-    const std::string &Code = E[0].asString();
-    unsigned Var = 0;
+namespace {
+
+/// Reads a record's "ops" array into \p Out, after its begin event.
+bool readOps(JsonLexer &L, TransactionLog &Out, std::string *Error) {
+  auto BadJson = [&] { return fail(Error, "bad JSON: " + L.error()); };
+  if (!L.consume('['))
+    return fail(Error, "missing \"ops\" array");
+  Out.append(Event::makeBegin());
+  double Var, Val;
+  std::string_view Code;
+  for (bool First = true; L.nextItem(']', First);) {
+    if (!L.consume('[') || L.peek() != '"')
+      return fail(Error, "malformed op (expected [\"r\"|\"w\", ...])");
+    if (!L.readString(Code))
+      return BadJson();
     if (Code == "w") {
-      if (E.size() != 3 ||
-          !asUnsigned(E[1], uint64_t(1) << 32, Var, Error, "write var") ||
-          E[2].kind() != JsonValue::Kind::Number) {
-        fail(Error, "malformed write op");
-        return std::nullopt;
-      }
+      if (!L.consume(',') || !startsNumber(L.peek()) || !L.readNumber(Var) ||
+          !inRange(Var, uint64_t(1) << 32) || !L.consume(',') ||
+          !startsNumber(L.peek()) || !L.readNumber(Val))
+        return fail(Error, "malformed write op");
       // JSON numbers are doubles: beyond 2^53 they no longer name one
       // integer, and a fraction or an infinity has no Value at all.
-      double Val = E[2].asNumber();
-      if (!(std::fabs(Val) <= 9007199254740992.0) || Val != std::floor(Val)) {
-        fail(Error, "write value must be an integer in [-2^53, 2^53]");
-        return std::nullopt;
-      }
-      Log.append(Event::makeWrite(Var, static_cast<Value>(Val)));
+      if (!(std::fabs(Val) <= 9007199254740992.0) || Val != std::floor(Val))
+        return fail(Error, "write value must be an integer in [-2^53, 2^53]");
+      if (!L.consume(']'))
+        return fail(Error, "malformed write op");
+      Out.append(
+          Event::makeWrite(static_cast<VarId>(Var), static_cast<Value>(Val)));
     } else if (Code == "r") {
-      if ((E.size() != 2 && E.size() != 3) ||
-          !asUnsigned(E[1], uint64_t(1) << 32, Var, Error, "read var")) {
-        fail(Error, "malformed read op");
-        return std::nullopt;
-      }
-      Log.append(Event::makeRead(Var));
-      if (E.size() == 3) {
-        if (E[2].kind() != JsonValue::Kind::String) {
-          fail(Error, "read writer must be a uid string");
-          return std::nullopt;
-        }
+      if (!L.consume(',') || !startsNumber(L.peek()) || !L.readNumber(Var) ||
+          !inRange(Var, uint64_t(1) << 32))
+        return fail(Error, "malformed read op");
+      Out.append(Event::makeRead(static_cast<VarId>(Var)));
+      if (L.consume(',')) {
+        std::string_view Uid;
+        if (L.peek() != '"')
+          return fail(Error, "read writer must be a uid string");
+        if (!L.readString(Uid))
+          return BadJson();
         TxnUid Writer;
-        if (!parseUidToken(E[2].asString(), Writer, Error))
-          return std::nullopt;
-        Log.setWriter(static_cast<uint32_t>(Log.size()) - 1, Writer);
+        if (!parseUidToken(Uid, Writer, Error))
+          return false;
+        Out.setWriter(static_cast<uint32_t>(Out.size()) - 1, Writer);
       }
+      if (!L.consume(']'))
+        return fail(Error, "malformed read op");
     } else {
-      fail(Error, "unknown op code '" + Code + "'");
-      return std::nullopt;
+      return fail(Error, "unknown op code '" + std::string(Code) + "'");
     }
   }
-  const JsonValue *St = Doc->find("st");
+  return !L.failed() || BadJson();
+}
+
+} // namespace
+
+bool trace_io::readJsonlTxn(std::string_view Line, TransactionLog &Out,
+                            std::string *Error) {
+  JsonLexer L(Line);
+  auto BadJson = [&] { return fail(Error, "bad JSON: " + L.error()); };
+  if (L.peek() != '{') {
+    if (L.skipValue(0) && !L.atEnd())
+      L.fail("trailing characters after the document");
+    return L.failed() ? BadJson()
+                      : fail(Error, "trace record is not a JSON object");
+  }
+  L.consume('{');
+  bool HaveS = false, HaveI = false, HaveOps = false, HaveSt = false;
   bool Abort = false;
-  if (St) {
-    if (St->kind() != JsonValue::Kind::String ||
-        (St->asString() != "c" && St->asString() != "a")) {
-      fail(Error, "\"st\" must be \"c\" or \"a\"");
-      return std::nullopt;
+  double S = 0, I = 0;
+  // "ops" is read straight into Out once the uid is known; an "ops" that
+  // precedes "s" or "i" is only syntax-checked, then re-read at the end.
+  size_t DeferredOps = std::string_view::npos;
+  for (bool First = true; L.nextItem('}', First);) {
+    std::string_view Key;
+    if (!L.readKey(Key))
+      return BadJson();
+    // Only the first of duplicate keys counts; the rest are skipped.
+    if (Key == "s" && !HaveS) {
+      HaveS = true;
+      if (!startsNumber(L.peek()))
+        return fail(Error, "session \"s\" must be a number");
+      if (!L.readNumber(S))
+        return BadJson();
+      if (!inRange(S, TxnUid::InitSession))
+        return fail(Error, "session \"s\" out of range");
+    } else if (Key == "i" && !HaveI) {
+      HaveI = true;
+      if (!startsNumber(L.peek()))
+        return fail(Error, "index \"i\" must be a number");
+      if (!L.readNumber(I))
+        return BadJson();
+      if (!inRange(I, uint64_t(1) << 32))
+        return fail(Error, "index \"i\" out of range");
+    } else if (Key == "ops" && !HaveOps) {
+      HaveOps = true;
+      if (HaveS && HaveI) {
+        Out.reset(TxnUid{static_cast<uint32_t>(S), static_cast<uint32_t>(I)});
+        if (!readOps(L, Out, Error))
+          return false;
+      } else {
+        DeferredOps = L.offset();
+        if (!L.skipValue(1))
+          return BadJson();
+      }
+    } else if (Key == "st" && !HaveSt) {
+      HaveSt = true;
+      std::string_view St;
+      if (L.peek() != '"' || !L.readString(St) || (St != "c" && St != "a"))
+        return L.failed() ? BadJson()
+                          : fail(Error, "\"st\" must be \"c\" or \"a\"");
+      Abort = St == "a";
+    } else if (!L.skipValue(1)) {
+      return BadJson();
     }
-    Abort = St->asString() == "a";
   }
-  Log.append(Abort ? Event::makeAbort() : Event::makeCommit());
-  return Log;
+  if (L.failed())
+    return BadJson();
+  if (!L.atEnd()) {
+    L.fail("trailing characters after the document");
+    return BadJson();
+  }
+  if (!HaveS || !HaveI)
+    return fail(Error,
+                std::string("missing \"") + (!HaveS ? "s" : "i") + "\" field");
+  if (!HaveOps)
+    return fail(Error, "missing \"ops\" array");
+  if (DeferredOps != std::string_view::npos) {
+    L.seek(DeferredOps);
+    Out.reset(TxnUid{static_cast<uint32_t>(S), static_cast<uint32_t>(I)});
+    if (!readOps(L, Out, Error))
+      return false;
+  }
+  Out.append(Abort ? Event::makeAbort() : Event::makeCommit());
+  return true;
 }
 
 void trace_io::writeTrace(std::ostream &OS, const TraceHeader &H,

@@ -23,7 +23,7 @@
 ///      txn 0.0 begin read x0 <- init write x1 = 3 commit
 ///
 ///  * **jsonl** — the compact machine format: one JSON object per line on
-///    support/Json.h's parser. The first line is the header, every later
+///    support/Json.h's lexer. The first line is the header, every later
 ///    line one transaction:
 ///
 ///      {"trace":"txdpor-v1","vars":2,"sessions":2,"level":"CC",
@@ -48,6 +48,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace txdpor {
@@ -77,11 +78,16 @@ std::string writeTraceHeader(const TraceHeader &H, TraceFormat F);
 /// newline-terminated). \p Log must not be the init transaction.
 std::string writeTraceTxn(const TransactionLog &Log, TraceFormat F);
 
-/// Parses one jsonl transaction record line. Returns nullopt with a
-/// diagnostic in \p Error on malformed input (truncated JSON, wrong
-/// types, unknown op code, bad writer uid).
-std::optional<TransactionLog> parseJsonlTxn(const std::string &Line,
-                                            std::string *Error);
+/// Reads one jsonl transaction record line into \p Out, reusing its
+/// storage (TransactionLog::reset). The record is read straight off
+/// support/Json.h's pull lexer, with no JSON tree in between, and keeps
+/// the tree reading's semantics: keys in any order, unknown keys skipped,
+/// the first of duplicate keys wins (as JsonValue::find does), escapes
+/// decoded, numbers in RFC 8259 syntax. Returns false with a diagnostic
+/// in \p Error on malformed input (bad JSON, wrong types, out-of-range
+/// ids, unknown op code, bad writer uid); \p Out is then unspecified.
+bool readJsonlTxn(std::string_view Line, TransactionLog &Out,
+                  std::string *Error);
 
 /// Writes a whole trace (header + records) to \p OS.
 void writeTrace(std::ostream &OS, const TraceHeader &H,

@@ -18,8 +18,7 @@ using namespace txdpor;
 using namespace txdpor::trace_io;
 
 TraceReader::TraceReader(std::istream &In) : In(In) {
-  std::string Line;
-  if (!nextLine(Line)) {
+  if (!nextLine()) {
     setError("empty trace (no header)");
     return;
   }
@@ -149,14 +148,14 @@ TraceReader::TraceReader(std::istream &In) : In(In) {
                "'");
       return;
     }
-    if (!nextLine(Line)) {
+    if (!nextLine()) {
       setError("trace header without an init transaction line");
       return;
     }
   }
 }
 
-bool TraceReader::nextLine(std::string &Line) {
+bool TraceReader::nextLine() {
   while (std::getline(In, Line)) {
     ++LineNo;
     // CRLF-saved traces: getline keeps the trailing '\r', which would
@@ -178,8 +177,7 @@ void TraceReader::setError(const std::string &Message) {
 
 TraceReader::Next TraceReader::next(TransactionLog &Out) {
   assert(Valid && "next() on an invalid reader");
-  std::string Line;
-  if (!nextLine(Line)) {
+  if (!nextLine()) {
     if (In.bad()) {
       setError("read error");
       return Next::Error;
@@ -187,23 +185,28 @@ TraceReader::Next TraceReader::next(TransactionLog &Out) {
     return Next::End;
   }
   std::string ParseError;
-  std::optional<TransactionLog> Log =
-      Format == TraceFormat::Jsonl ? parseJsonlTxn(Line, &ParseError)
-                                   : parseTxnLine(Line, &ParseError);
-  if (!Log) {
-    setError(ParseError);
-    return Next::Error;
+  if (Format == TraceFormat::Jsonl) {
+    if (!readJsonlTxn(Line, Out, &ParseError)) {
+      setError(ParseError);
+      return Next::Error;
+    }
+  } else {
+    std::optional<TransactionLog> Log = parseTxnLine(Line, &ParseError);
+    if (!Log) {
+      setError(ParseError);
+      return Next::Error;
+    }
+    Out = std::move(*Log);
   }
-  if (Log->isInit()) {
+  if (Out.isInit()) {
     setError("duplicate init transaction");
     return Next::Error;
   }
-  if (Log->isPending()) {
+  if (Out.isPending()) {
     // Litmus lines may omit commit/abort in history dumps; a *trace*
     // record must be a completed transaction.
     setError("transaction record without commit/abort");
     return Next::Error;
   }
-  Out = std::move(*Log);
   return Next::Txn;
 }

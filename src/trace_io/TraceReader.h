@@ -9,7 +9,9 @@
 /// Pull-based reader over a trace stream (file, pipe or string): detects
 /// the format (TraceFormat.h) from the first significant character,
 /// parses the header eagerly, then yields one completed TransactionLog
-/// per next() call — O(record) memory, never the whole trace. Syntactic
+/// per next() call — O(record) memory, never the whole trace; jsonl
+/// records go straight from the line buffer into the caller's log with
+/// no JSON tree in between (readJsonlTxn). Syntactic
 /// validation (grammar, types, uids) happens here with line-numbered
 /// diagnostics; *semantic* validation (unknown sessions, duplicate
 /// commits, reads of never-written values, stale writers) is the
@@ -50,15 +52,21 @@ public:
     Error ///< Malformed record; error() explains, reading must stop.
   };
 
-  /// Parses the next transaction record into \p Out.
+  /// Parses the next transaction record into \p Out. A jsonl record is
+  /// written into \p Out's existing storage, so a caller that passes the
+  /// same log every time allocates nothing per record.
   Next next(TransactionLog &Out);
 
 private:
-  /// Fetches the next significant line (skips blanks and '#' comments).
-  bool nextLine(std::string &Line);
+  /// Fetches the next significant line into Line (skips blanks and '#'
+  /// comments).
+  bool nextLine();
   void setError(const std::string &Message);
 
   std::istream &In;
+  /// The current line; reused, so reading a line allocates only when it
+  /// is the longest yet.
+  std::string Line;
   TraceHeader Header;
   TraceFormat Format = TraceFormat::Litmus;
   unsigned LineNo = 0;

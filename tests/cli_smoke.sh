@@ -162,6 +162,15 @@ expect_exit 1 check-trace "$traces/malformed/duplicate_commit.jsonl"
 expect_exit 1 check-trace "$traces/malformed/write_value_overflow.jsonl"
 expect_exit 1 check-trace "$traces/malformed/write_value_fraction.jsonl"
 expect_exit 1 check-trace "$traces/malformed/write_value_int64.jsonl"
+# Uid tokens are decimal digits only, at most 2^32 - 1, and the init
+# session is spelled "init": each of these was once read as some other
+# transaction.
+expect_exit 1 check-trace "$traces/malformed/uid_junk_suffix.jsonl"
+expect_exit 1 check-trace "$traces/malformed/uid_plus_sign.jsonl"
+expect_exit 1 check-trace "$traces/malformed/uid_negative.jsonl"
+expect_exit 1 check-trace "$traces/malformed/uid_init_session.jsonl"
+expect_exit 1 check-trace "$traces/malformed/uid_overflow.jsonl"
+expect_exit 1 check-trace "$traces/malformed/uid_junk.litmus"
 
 # gen-trace pipes into check-trace: clean stays clean under a small
 # window, an injected anomaly exits 2, and the --repro trace is itself

@@ -55,10 +55,9 @@ History renameSessions(const History &H,
   auto Renamed = [&](TxnUid U) {
     return U.isInit() ? U : TxnUid{Pi[U.Session], U.Index};
   };
-  // Rebuilt from scratch (replaceLog must preserve transaction identity,
-  // so it cannot install a renamed log): every block is re-appended in
-  // block order under its new uid, keeping the uid index coherent for
-  // the cursor replay below.
+  // Rebuilt from scratch: every block is re-appended in block order
+  // under its new uid, keeping the uid index coherent for the cursor
+  // replay below.
   History R;
   for (unsigned I = 0; I != H.numTxns(); ++I) {
     const TransactionLog &Log = H.txn(I);

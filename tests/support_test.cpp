@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <sstream>
 
 using namespace txdpor;
@@ -411,6 +413,38 @@ TEST(JsonParseTest, RejectsMalformedInput) {
   EXPECT_FALSE(parseJson("tru", &Error));
   EXPECT_FALSE(parseJson("1 2", &Error)); // Trailing garbage.
   EXPECT_FALSE(Error.empty());
+}
+
+TEST(JsonParseTest, NumbersFollowRfc8259) {
+  // No leading zeros, '+' signs or bare decimal points: each of these
+  // once passed through strtod.
+  for (const char *Bad : {"01", "00", "-01", ".5", "1.", "+1", "-.5", "-",
+                          "1e", "1e+", "1.e5", "0x10", "1E+2.5", "--1",
+                          "[01]", "{\"a\":+1}", "[1.]"}) {
+    std::string Error;
+    EXPECT_FALSE(parseJson(Bad, &Error)) << Bad;
+    EXPECT_NE(Error.find("(at offset "), std::string::npos) << Bad;
+  }
+  struct Good {
+    const char *Text;
+    double Want;
+  } Goods[] = {{"0", 0},         {"-0", 0},          {"10", 10},
+               {"0.5", 0.5},     {"-0.5e1", -5},     {"1E+2", 100},
+               {"1e-2", 0.01},   {"1E2", 100},       {"25e0", 25},
+               {"9007199254740993", 9007199254740992.0}};
+  for (const Good &G : Goods) {
+    std::string Error;
+    std::unique_ptr<JsonValue> Doc = parseJson(G.Text, &Error);
+    ASSERT_TRUE(Doc) << G.Text << ": " << Error;
+    EXPECT_EQ(Doc->asNumber(), G.Want) << G.Text;
+  }
+  EXPECT_TRUE(std::signbit(parseJson("-0")->asNumber()));
+  // Integers convert without strtod but must round exactly as it does.
+  for (const char *Int :
+       {"9007199254740993", "-9007199254740995", "9999999999999999999",
+        "18446744073709551615", "123456789012345678901234567890",
+        "1152921504606846977", "-4611686018427387905"})
+    EXPECT_EQ(parseJson(Int)->asNumber(), std::strtod(Int, nullptr)) << Int;
 }
 
 TEST(JsonParseTest, DepthBounded) {

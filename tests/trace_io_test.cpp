@@ -18,6 +18,7 @@
 #include "trace_io/TraceFormat.h"
 
 #include "consistency/StreamingChecker.h"
+#include "history/Serialize.h"
 #include "trace_io/TraceGen.h"
 #include "trace_io/TraceReader.h"
 #include <gtest/gtest.h>
@@ -143,19 +144,66 @@ TEST(TraceRejectionTest, MalformedJsonlRecords) {
       "{\"s\":0,\"i\":0,\"ops\":[[\"w\",0,9223372036854775807]],"
       "\"st\":\"c\"}",
   };
+  TransactionLog Log{TxnUid::init()};
   for (const char *Record : Records) {
     std::string Error;
-    EXPECT_FALSE(parseJsonlTxn(Record, &Error).has_value()) << Record;
+    EXPECT_FALSE(readJsonlTxn(Record, Log, &Error)) << Record;
     EXPECT_FALSE(Error.empty()) << Record;
   }
   // The largest exactly representable magnitudes still parse.
   for (const char *V : {"9007199254740992", "-9007199254740992"}) {
     std::string Record = std::string("{\"s\":0,\"i\":0,\"ops\":[[\"w\",0,") +
                          V + "]],\"st\":\"c\"}";
-    std::optional<TransactionLog> Log = parseJsonlTxn(Record, nullptr);
-    ASSERT_TRUE(Log.has_value()) << Record;
-    EXPECT_EQ(std::to_string(Log->event(1).Val), V);
+    ASSERT_TRUE(readJsonlTxn(Record, Log, nullptr)) << Record;
+    EXPECT_EQ(std::to_string(Log.event(1).Val), V);
   }
+}
+
+TEST(TraceRejectionTest, StrictUidTokens) {
+  // Session and index are decimal digits only, each at most 2^32 - 1,
+  // and init is spelled only "init": strtoul once read every rejected
+  // token here as some other transaction.
+  const char *Bad[] = {"1junk.2",  "1.2junk",      "+1.2",       "-1.5",
+                       "1.-2",     " 1.2",         "1 .2",       "1.2 ",
+                       "1.",       ".2",           "12",         "t",
+                       "tt1.2",    "0x1.2",        "1.2.3",      "",
+                       "INIT",     "4294967295.0", "t4294967295.3",
+                       "0.4294967296", "0.4294967297", "99999999999.0"};
+  for (const char *Token : Bad) {
+    TxnUid Uid;
+    std::string Error;
+    EXPECT_FALSE(parseUidToken(Token, Uid, &Error)) << "'" << Token << "'";
+    EXPECT_NE(Error.find("bad transaction uid"), std::string::npos) << Token;
+  }
+  struct Good {
+    const char *Token;
+    TxnUid Want;
+  } Goods[] = {{"init", TxnUid::init()},
+               {"0.0", {0, 0}},
+               {"t1.2", {1, 2}},
+               {"007.010", {7, 10}},
+               {"4294967294.4294967295", {4294967294u, 4294967295u}}};
+  for (const Good &G : Goods) {
+    TxnUid Uid;
+    EXPECT_TRUE(parseUidToken(G.Token, Uid)) << G.Token;
+    EXPECT_EQ(Uid, G.Want) << G.Token;
+  }
+  // The same tokens in both trace syntaxes: a JSONL writer and a litmus
+  // writer or variable.
+  TransactionLog Log{TxnUid::init()};
+  for (const char *Writer : {"1junk.2", "-1.7", "4294967295.0"}) {
+    std::string Record = std::string("{\"s\":0,\"i\":0,\"ops\":[[\"r\",0,\"") +
+                         Writer + "\"]]}";
+    std::string Error;
+    EXPECT_FALSE(readJsonlTxn(Record, Log, &Error)) << Record;
+  }
+  for (const char *Line :
+       {"txn t0.0junk begin commit", "txn t0.1 begin read x0 <- -1.5 commit",
+        "txn t0.1 begin write x1junk = 1 commit",
+        "txn t0.1 begin write x4294967296 = 1 commit",
+        "txn t0.1 begin read x+1 <- init commit"})
+    EXPECT_FALSE(parseTxnLine(Line).has_value()) << Line;
+  EXPECT_TRUE(parseTxnLine("txn t0.1 begin write x4294967295 = 1 commit"));
 }
 
 TEST(TraceRejectionTest, MalformedCorpusIsRefusedWithDiagnostics) {
@@ -167,6 +215,9 @@ TEST(TraceRejectionTest, MalformedCorpusIsRefusedWithDiagnostics) {
       "unknown_writer.jsonl",    "duplicate_commit.jsonl",
       "out_of_order.jsonl",      "write_value_overflow.jsonl",
       "write_value_fraction.jsonl", "write_value_int64.jsonl",
+      "uid_junk_suffix.jsonl",   "uid_plus_sign.jsonl",
+      "uid_negative.jsonl",      "uid_init_session.jsonl",
+      "uid_overflow.jsonl",      "uid_junk.litmus",
   };
   for (const char *Name : Files) {
     std::ifstream In(malformedPath(Name));
